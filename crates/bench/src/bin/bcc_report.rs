@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! bcc-report [--metrics PATH] [--baseline PATH] [--trace PATH]
-//!            [--profile PATH] [--postmortem PATH] [--bench PATH]...
+//!            [--profile PATH] [--bench PATH]...
 //!            [--format md|json] [--out PATH] [--check]
 //!            [--tolerance PCT] [--max-overhead PCT]
 //! bcc-report --diff A.profile B.profile [--diff-tolerance PCT]
@@ -38,7 +38,7 @@ use bcc_metrics::MetricsDump;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: bcc-report [--metrics PATH] [--baseline PATH] [--trace PATH]
-                  [--profile PATH] [--postmortem PATH] [--bench PATH]...
+                  [--profile PATH] [--bench PATH]...
                   [--format md|json] [--out PATH] [--check] [--tolerance PCT]
                   [--max-overhead PCT]
        bcc-report --diff A.profile B.profile [--diff-tolerance PCT] [--out PATH]
@@ -47,8 +47,6 @@ const USAGE: &str = "usage: bcc-report [--metrics PATH] [--baseline PATH] [--tra
   --baseline PATH      committed baseline dump; counters must match exactly
   --trace PATH         trace JSONL; reported as event counts by kind
   --profile PATH       bcc-prof profile JSONL; reported as the hot-path table
-  --postmortem PATH    worker postmortem artifact (bcc_postmortem JSONL);
-                       reported as the incident + flight-ring section
   --bench PATH         committed BENCH_*.json recording (repeatable)
   --format md|json     output format (default md)
   --out PATH           write the report here instead of stdout
@@ -67,7 +65,6 @@ struct Cli {
     baseline: Option<String>,
     trace: Option<String>,
     profile: Option<String>,
-    postmortem: Option<String>,
     benches: Vec<String>,
     diff: Option<(String, String)>,
     diff_tolerance_pct: f64,
@@ -83,7 +80,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         baseline: None,
         trace: None,
         profile: None,
-        postmortem: None,
         benches: Vec::new(),
         diff: None,
         diff_tolerance_pct: 0.0,
@@ -104,7 +100,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             "--baseline" => cli.baseline = Some(value("--baseline")?),
             "--trace" => cli.trace = Some(value("--trace")?),
             "--profile" => cli.profile = Some(value("--profile")?),
-            "--postmortem" => cli.postmortem = Some(value("--postmortem")?),
             "--bench" => cli.benches.push(value("--bench")?),
             "--diff" => {
                 let a = value("--diff")?;
@@ -147,7 +142,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             || cli.baseline.is_some()
             || cli.trace.is_some()
             || cli.profile.is_some()
-            || cli.postmortem.is_some()
             || !cli.benches.is_empty()
             || cli.check
         {
@@ -159,13 +153,9 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     } else if cli.metrics.is_none()
         && cli.trace.is_none()
         && cli.profile.is_none()
-        && cli.postmortem.is_none()
         && cli.benches.is_empty()
     {
-        return Err(
-            "nothing to report: pass --metrics, --trace, --profile, --postmortem or --bench"
-                .to_string(),
-        );
+        return Err("nothing to report: pass --metrics, --trace, --profile or --bench".to_string());
     }
     Ok(cli)
 }
@@ -190,11 +180,6 @@ fn load_inputs(cli: &Cli) -> Result<Inputs, String> {
     if let Some(path) = &cli.profile {
         inputs.profile =
             Some(bcc_prof::parse_profile_jsonl(&read(path)?).map_err(|e| format!("{path}: {e}"))?);
-    }
-    if let Some(path) = &cli.postmortem {
-        inputs.postmortems = Some(
-            bcc_model::postmortem::parse_jsonl(&read(path)?).map_err(|e| format!("{path}: {e}"))?,
-        );
     }
     for path in &cli.benches {
         let name = path.rsplit('/').next().unwrap_or(path).to_string();

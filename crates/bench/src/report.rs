@@ -84,10 +84,6 @@ pub struct Inputs {
     /// A cost-attribution profile (`--profile`), rendered as the
     /// hot-path section.
     pub profile: Option<bcc_prof::Profile>,
-    /// Worker postmortems (`--postmortem`): flight-recorder rings
-    /// frozen at transport-failure time, rendered as the incident
-    /// section.
-    pub postmortems: Option<Vec<bcc_model::postmortem::Postmortem>>,
     /// Committed benchmark recordings (`--bench`, repeatable).
     pub benches: Vec<BenchFile>,
 }
@@ -258,9 +254,6 @@ pub fn render_markdown(inputs: &Inputs, failures: &[String]) -> String {
         );
         md.push_str(&bcc_prof::render_hot_paths(profile, 10));
     }
-    if let Some(postmortems) = &inputs.postmortems {
-        render_postmortem_section(postmortems, &mut md);
-    }
     for bench in &inputs.benches {
         let _ = writeln!(md, "\n## Bench: {}\n", bench.name);
         md.push_str("| metric | value |\n|---|---:|\n");
@@ -319,49 +312,6 @@ fn render_serve_section(dump: &MetricsDump, md: &mut String) {
             h.quantile_upper(0.90),
             h.max
         );
-    }
-}
-
-/// Renders the `## Postmortem` section: one block per incident with
-/// the failure detail, the per-worker health table, and each
-/// worker's flight-recorder ring (its last wire events, oldest
-/// first) — everything a post-mortem of a dead worker starts from.
-fn render_postmortem_section(postmortems: &[bcc_model::postmortem::Postmortem], md: &mut String) {
-    let _ = writeln!(md, "\n## Postmortem\n\n{} incident(s)\n", postmortems.len());
-    if postmortems.is_empty() {
-        md.push_str("no transport incidents recorded\n");
-        return;
-    }
-    for (i, pm) in postmortems.iter().enumerate() {
-        let _ = writeln!(md, "### Incident {i}: `{}`\n", pm.backend);
-        let _ = writeln!(md, "error: `{}`\n", pm.error);
-        md.push_str("| rank | alive | respawns | open sessions | ring events |\n|---:|---|---:|---:|---:|\n");
-        for w in &pm.workers {
-            let _ = writeln!(
-                md,
-                "| {} | {} | {} | {} | {} |",
-                w.rank,
-                if w.alive { "yes" } else { "**dead**" },
-                w.respawns,
-                w.sessions,
-                w.ring.len()
-            );
-        }
-        for w in &pm.workers {
-            if w.ring.is_empty() {
-                continue;
-            }
-            let _ = writeln!(md, "\nworker {} flight ring (oldest first):\n", w.rank);
-            md.push_str("| dir | kind | session | round | bytes |\n|---|---|---:|---:|---:|\n");
-            for e in &w.ring {
-                let _ = writeln!(
-                    md,
-                    "| {} | `{}` | {} | {} | {} |",
-                    e.dir, e.kind, e.session, e.round, e.bytes
-                );
-            }
-        }
-        md.push('\n');
     }
 }
 
@@ -426,9 +376,6 @@ pub fn render_json(inputs: &Inputs, failures: &[String]) -> String {
             profile.frames.len(),
             profile.totals.len()
         );
-    }
-    if let Some(postmortems) = &inputs.postmortems {
-        let _ = write!(out, "\"postmortems\":{},", postmortems.len());
     }
     let names: Vec<String> = inputs
         .benches
@@ -660,62 +607,6 @@ mod tests {
         // No profile input, no section.
         let plain = Inputs::default();
         assert!(!render_markdown(&plain, &[]).contains("## Profile"));
-    }
-
-    #[test]
-    fn markdown_report_renders_postmortem_section() {
-        use bcc_model::postmortem::{Postmortem, WireEvent, WorkerHealth};
-        let pm = Postmortem {
-            backend: "sockets:2".to_string(),
-            error: "transport worker 0 died: connection closed".to_string(),
-            workers: vec![
-                WorkerHealth {
-                    rank: 0,
-                    alive: false,
-                    respawns: 0,
-                    sessions: 1,
-                    ring: vec![WireEvent {
-                        dir: "send".to_string(),
-                        kind: "round".to_string(),
-                        session: 3,
-                        round: 2,
-                        bytes: 120,
-                    }],
-                },
-                WorkerHealth {
-                    rank: 1,
-                    alive: true,
-                    respawns: 0,
-                    sessions: 1,
-                    ring: vec![],
-                },
-            ],
-        };
-        let inputs = Inputs {
-            postmortems: Some(vec![pm]),
-            ..Default::default()
-        };
-        let md = render_markdown(&inputs, &[]);
-        assert!(md.contains("## Postmortem"), "{md}");
-        assert!(md.contains("1 incident(s)"), "{md}");
-        assert!(md.contains("Incident 0: `sockets:2`"), "{md}");
-        assert!(md.contains("**dead**"), "{md}");
-        assert!(md.contains("worker 0 flight ring"), "{md}");
-        assert!(md.contains("| send | `round` | 3 | 2 | 120 |"), "{md}");
-        let json = render_json(&inputs, &[]);
-        assert!(json.contains("\"postmortems\":1"), "{json}");
-
-        // An empty artifact (no incidents) still renders a section —
-        // "nothing went wrong" is a result, not an omission.
-        let clean = Inputs {
-            postmortems: Some(vec![]),
-            ..Default::default()
-        };
-        let md = render_markdown(&clean, &[]);
-        assert!(md.contains("no transport incidents recorded"), "{md}");
-
-        // No --postmortem input, no section.
-        assert!(!render_markdown(&Inputs::default(), &[]).contains("## Postmortem"));
     }
 
     #[test]

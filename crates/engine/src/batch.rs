@@ -345,7 +345,6 @@ fn run_batch_impl(
                         "transport returned {} inboxes for {n} nodes",
                         view.num_nodes()
                     ),
-                    postmortem: None,
                 };
                 return Err(abort_batch(trace, Some(round), err));
             }
@@ -357,7 +356,6 @@ fn run_batch_impl(
                             entries.len(),
                             n - 1
                         ),
-                        postmortem: None,
                     };
                     return Err(abort_batch(trace, Some(round), err));
                 }
@@ -597,10 +595,8 @@ mod tests {
                 _round: usize,
                 _outbox: &[Message],
             ) -> Result<RoundView, TransportError> {
-                Err(TransportError::WorkerDead {
-                    rank: 0,
+                Err(TransportError::Protocol {
                     detail: "test".to_string(),
-                    postmortem: None,
                 })
             }
         }
@@ -624,7 +620,7 @@ mod tests {
         for o in &out {
             assert!(matches!(
                 o.transport_failure(),
-                Some(TransportError::WorkerDead { .. })
+                Some(TransportError::Protocol { .. })
             ));
             assert!(o.decisions().iter().all(|d| *d == Decision::Undecided));
             assert_eq!(o.system_decision(), Decision::No);

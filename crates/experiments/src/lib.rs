@@ -158,12 +158,6 @@ pub struct SuiteOptions {
     /// are byte-identical — the store only trades recomputation for
     /// lookups (see [`cache`]).
     pub cache_dir: Option<std::path::PathBuf>,
-    /// Transport backend to install process-wide before running
-    /// (`--transport`); `None` leaves whatever is installed (the
-    /// in-process `local` backend by default). Reports, traces, and
-    /// metrics dumps are byte-identical across backends — that is the
-    /// transport determinism contract (DESIGN.md §14).
-    pub transport: Option<bcc_model::TransportSpec>,
 }
 
 impl Default for SuiteOptions {
@@ -176,7 +170,6 @@ impl Default for SuiteOptions {
             trace_level: TraceLevel::Off,
             metrics_level: MetricsLevel::Off,
             cache_dir: None,
-            transport: None,
         }
     }
 }
@@ -225,16 +218,14 @@ fn degrade_partial(mut report: Report, completed: usize, scheduled: usize) -> Re
 /// replaced the historical `run` / `run_on_pool` / `*_observed`
 /// free-function sprawl. The request is fully described by logical
 /// parameters, so the reduced report is a pure function of
-/// `(id, quick, seed)`; everything else (threads, cache, observers,
-/// transport) only changes *how* it is computed.
+/// `(id, quick, seed)`; everything else (threads, cache, observers)
+/// only changes *how* it is computed.
 ///
 /// ```no_run
 /// use bcc_experiments::RunRequest;
-/// use bcc_model::TransportSpec;
 /// let run = RunRequest::new("e2", true, 42)
 ///     .jobs(4)
 ///     .cache("/tmp/bcc-cache")
-///     .transport(TransportSpec::Sockets(2))
 ///     .run()
 ///     .expect("known id");
 /// println!("{}", run.report.text);
@@ -251,7 +242,6 @@ pub struct RunRequest {
     pub timeout: Option<Duration>,
     threads: usize,
     cache_dir: Option<std::path::PathBuf>,
-    transport: Option<bcc_model::TransportSpec>,
     collector: Option<Collector>,
     hub: Option<MetricsHub>,
 }
@@ -267,7 +257,6 @@ impl RunRequest {
             timeout: None,
             threads: 1,
             cache_dir: None,
-            transport: None,
             collector: None,
             hub: None,
         }
@@ -307,17 +296,6 @@ impl RunRequest {
         self
     }
 
-    /// Installs this transport as the process-wide default before
-    /// running. Left unset, the request runs on whatever is already
-    /// installed (the in-process `local` backend unless a host
-    /// installed something else) — so a daemon-level `--transport`
-    /// is not stomped by per-request submissions.
-    #[must_use]
-    pub fn transport(mut self, spec: bcc_model::TransportSpec) -> Self {
-        self.transport = Some(spec);
-        self
-    }
-
     /// Runs on a freshly created pool with
     /// [`jobs`](Self::jobs)-many threads.
     ///
@@ -345,9 +323,6 @@ impl RunRequest {
         pool: &bcc_runner::Pool,
         token: &bcc_runner::CancellationToken,
     ) -> Result<PoolRun, UnknownExperiment> {
-        if let Some(spec) = self.transport {
-            bcc_transport::install(spec);
-        }
         if let Some(dir) = &self.cache_dir {
             cache::configure_disk(dir.clone());
         }
@@ -439,9 +414,6 @@ pub fn run_on_pool(
 /// request order. Shards that failed or timed out simply contribute
 /// no output (the report's checks will reflect the gap).
 pub fn run_suite(ids: &[&str], opts: &SuiteOptions) -> Result<SuiteRun, UnknownExperiment> {
-    if let Some(spec) = opts.transport {
-        bcc_transport::install(spec);
-    }
     if let Some(dir) = &opts.cache_dir {
         cache::configure_disk(dir.clone());
     }
@@ -487,13 +459,6 @@ pub fn run_suite(ids: &[&str], opts: &SuiteOptions) -> Result<SuiteRun, UnknownE
         tbuf.counter("cache.lookups", suite_lookups);
         collector.absorb(tbuf);
     }
-    // Drain worker-shipped transport telemetry into the same sinks
-    // before they finish — a no-op on the local backend, which never
-    // accumulates any (DESIGN.md §15). Sessions are rank-ordered and
-    // canonically sorted on the way in, so the flushed units are
-    // byte-identical at any thread count.
-    bcc_model::transport::default_factory().flush_telemetry(&collector, &hub);
-
     let mut reports = Vec::with_capacity(ids.len());
     for id in ids {
         let outputs: Vec<JobOutput> = job_results

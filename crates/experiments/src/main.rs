@@ -33,20 +33,6 @@
 //!                       tables, indistinguishability graphs) in
 //!                       PATH; reports are byte-identical with or
 //!                       without it
-//!   --transport T       round-delivery backend: local (in-process,
-//!                       default) or sockets:N (N worker subprocesses
-//!                       over loopback TCP). Reports, traces, and
-//!                       metrics dumps are byte-identical across
-//!                       backends (DESIGN.md §14)
-//!   --transport-wall P  write the transport wall sidecar (spawn
-//!                       counts, accept ticks, worker lifetime
-//!                       totals; separate bcc_transport_wall schema,
-//!                       never deterministic, never read back by any
-//!                       deterministic artifact)
-//!   --postmortem PATH   write worker postmortems (flight-recorder
-//!                       rings frozen at failure time) as a typed
-//!                       JSONL artifact; an empty artifact is still
-//!                       written when the run saw no incident
 //! ```
 
 use bcc_experiments::{json, SuiteOptions, ALL_EXPERIMENTS};
@@ -58,8 +44,7 @@ use std::process::ExitCode;
 const USAGE: &str = "usage: bcc-experiments [--quick] [--jobs N] [--seed S] \
 [--timeout-secs T] [--json PATH] [--trace PATH] [--trace-level off|spans|costs|events] \
 [--metrics PATH] [--metrics-level off|core|full] [--profile PATH] [--prof-wall PATH] \
-[--cache PATH] [--transport local|sockets:N] [--transport-wall PATH] [--postmortem PATH] \
-<id>...\n       \
+[--cache PATH] <id>...\n       \
 id ∈ {f1, f2, e1..e12, all}";
 
 struct Cli {
@@ -69,8 +54,6 @@ struct Cli {
     metrics_path: Option<String>,
     profile_path: Option<String>,
     prof_wall_path: Option<String>,
-    transport_wall_path: Option<String>,
-    postmortem_path: Option<String>,
     ids: Vec<String>,
 }
 
@@ -83,8 +66,6 @@ fn parse_args(args: Vec<String>) -> Result<Cli, String> {
     let mut metrics_level: Option<MetricsLevel> = None;
     let mut profile_path: Option<String> = None;
     let mut prof_wall_path: Option<String> = None;
-    let mut transport_wall_path: Option<String> = None;
-    let mut postmortem_path: Option<String> = None;
     let mut ids = Vec::new();
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
@@ -120,12 +101,6 @@ fn parse_args(args: Vec<String>) -> Result<Cli, String> {
                 let v = it.next().ok_or("--cache needs a path")?;
                 opts.cache_dir = Some(std::path::PathBuf::from(v));
             }
-            "--transport" => {
-                let v = it.next().ok_or("--transport needs a value")?;
-                opts.transport = Some(
-                    bcc_model::TransportSpec::parse(&v).map_err(|e| format!("--transport: {e}"))?,
-                );
-            }
             "--trace-level" => {
                 let v = it.next().ok_or("--trace-level needs a value")?;
                 trace_level = Some(match v.as_str() {
@@ -145,12 +120,6 @@ fn parse_args(args: Vec<String>) -> Result<Cli, String> {
             }
             "--prof-wall" => {
                 prof_wall_path = Some(it.next().ok_or("--prof-wall needs a path")?);
-            }
-            "--transport-wall" => {
-                transport_wall_path = Some(it.next().ok_or("--transport-wall needs a path")?);
-            }
-            "--postmortem" => {
-                postmortem_path = Some(it.next().ok_or("--postmortem needs a path")?);
             }
             "--metrics" => {
                 metrics_path = Some(it.next().ok_or("--metrics needs a path")?);
@@ -197,16 +166,11 @@ fn parse_args(args: Vec<String>) -> Result<Cli, String> {
         metrics_path,
         profile_path,
         prof_wall_path,
-        transport_wall_path,
-        postmortem_path,
         ids,
     })
 }
 
 fn main() -> ExitCode {
-    // Must run before anything else: under `--transport sockets:N`
-    // this binary re-execs itself as the delivery workers.
-    bcc_transport::maybe_run_worker();
     let cli = match parse_args(std::env::args().skip(1).collect()) {
         Ok(cli) => cli,
         Err(msg) => {
@@ -303,40 +267,6 @@ fn main() -> ExitCode {
         }
     }
 
-    if let Some(path) = &cli.transport_wall_path {
-        // Transport wall sidecar: spawn/accept/lifetime quantities
-        // measured by the socket factory. Separate file, separate
-        // schema key — no deterministic artifact ever reads it.
-        let stats = bcc_model::transport::default_factory().wall_stats();
-        match write_transport_wall(path, &stats) {
-            Ok(()) => eprintln!(
-                "wrote transport wall sidecar ({} stats) to {path}",
-                stats.len()
-            ),
-            Err(err) => {
-                eprintln!("error: writing {path}: {err}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    if let Some(path) = &cli.postmortem_path {
-        let incidents = bcc_model::transport::default_factory().take_postmortems();
-        match std::fs::write(
-            path,
-            bcc_model::postmortem::postmortems_to_jsonl(&incidents),
-        ) {
-            Ok(()) => eprintln!(
-                "wrote postmortem artifact ({} incidents) to {path}",
-                incidents.len()
-            ),
-            Err(err) => {
-                eprintln!("error: writing {path}: {err}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
     if let Some(path) = &cli.metrics_path {
         match write_metrics(path, &suite.workload) {
             Ok(()) => eprintln!(
@@ -414,12 +344,5 @@ fn write_wall(path: &str, entries: &[(String, std::time::Duration)]) -> std::io:
     let file = std::fs::File::create(path)?;
     let mut w = std::io::BufWriter::new(file);
     bcc_prof::write_wall_sidecar(entries, &mut w)?;
-    w.flush()
-}
-
-fn write_transport_wall(path: &str, stats: &[(String, u64)]) -> std::io::Result<()> {
-    let file = std::fs::File::create(path)?;
-    let mut w = std::io::BufWriter::new(file);
-    bcc_transport::wall::write_transport_wall(stats, &mut w)?;
     w.flush()
 }

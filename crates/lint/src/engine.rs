@@ -18,6 +18,20 @@ use std::path::{Path, PathBuf};
 /// lint's own seeded-violation test inputs.
 const SKIP_DIRS: [&str; 5] = ["target", "vendor", ".git", "fixtures", "node_modules"];
 
+/// Whether `dir` roots a cargo workspace of its own: its `Cargo.toml`
+/// opens a `[workspace]` table (or a `[workspace.*]` subtable, which
+/// implies one). Such a tree builds separately from this workspace and
+/// is not linted as part of it — the same treatment `vendor/` gets,
+/// but read off the manifest instead of the directory name.
+fn is_nested_workspace(dir: &Path) -> bool {
+    fs::read_to_string(dir.join("Cargo.toml")).is_ok_and(|manifest| {
+        manifest
+            .lines()
+            .map(str::trim_start)
+            .any(|line| line.starts_with("[workspace]") || line.starts_with("[workspace."))
+    })
+}
+
 /// Reads and lexes every workspace `.rs` file under `root`.
 ///
 /// # Errors
@@ -98,7 +112,10 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if SKIP_DIRS.contains(&name.as_ref()) || name.starts_with('.') {
+            if SKIP_DIRS.contains(&name.as_ref())
+                || name.starts_with('.')
+                || is_nested_workspace(&path)
+            {
                 continue;
             }
             walk(&path, out)?;

@@ -50,16 +50,6 @@ fn rank(class: &str) -> Option<u32> {
         "DrainGate" | "Shard" => Some(2),
         "ArtifactStore" => Some(3),
         "MetricsHub" | "Collector" => Some(4),
-        // Socket-transport coordinator locks: a round exchange runs
-        // under the trace scope (Collector), so the factory slot and
-        // the worker-group link table sit innermost.
-        "SocketFactory" => Some(5),
-        "WorkerGroup" => Some(6),
-        // The telemetry buffer is acquired under the group lock while
-        // a `closed` reply is recorded, and is always released before
-        // the flush absorbs into Collector/MetricsHub — so it sits
-        // innermost of all.
-        "TelemetryStore" => Some(7),
         _ => None,
     }
 }

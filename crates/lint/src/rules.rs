@@ -79,7 +79,7 @@ pub struct Workspace {
 /// `crates/trace` and `crates/metrics` are included because merged
 /// traces and metric dumps carry the same byte-identity guarantee as
 /// reports.
-pub const D1_PATHS: [&str; 12] = [
+pub const D1_PATHS: [&str; 10] = [
     "crates/experiments/",
     "crates/runner/",
     "crates/partitions/",
@@ -90,11 +90,6 @@ pub const D1_PATHS: [&str; 12] = [
     "crates/metrics/",
     "crates/serve/",
     "crates/prof/",
-    "crates/transport/",
-    // A single file, not the whole crate: postmortem renderings feed
-    // reports, while the rest of `bcc-model` keeps its hash-based
-    // internals.
-    "crates/model/src/postmortem.rs",
 ];
 
 /// Crates allowed to read clocks: the runner owns deadlines, latency

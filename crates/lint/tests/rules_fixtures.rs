@@ -162,3 +162,26 @@ fn findings_are_sorted_by_file_line_rule() {
     sorted.sort();
     assert_eq!(keys, sorted);
 }
+
+#[test]
+fn nested_workspace_is_not_walked() {
+    // `perfbench/Cargo.toml` declares `[workspace]`: its seeded D2 and
+    // P1 violations belong to a separate cargo workspace. The decoy
+    // `crates/core/Cargo.toml` only inherits workspace keys, so that
+    // crate is still walked.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/ws");
+    let ws = collect_workspace(&root).expect("fixture workspace readable");
+    assert!(
+        !ws.files.iter().any(|f| f.path.starts_with("perfbench/")),
+        "nested workspace files were collected"
+    );
+    assert!(ws
+        .files
+        .iter()
+        .any(|f| f.path == "crates/core/src/clean.rs"));
+    let findings = run_all(&ws);
+    assert!(
+        !findings.iter().any(|f| f.file.starts_with("perfbench/")),
+        "{findings:?}"
+    );
+}

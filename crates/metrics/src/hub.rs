@@ -67,28 +67,6 @@ impl MetricsHub {
             .push(buf);
     }
 
-    /// Absorbs counters recorded by a *foreign* buffer — one that
-    /// lived in another process and crossed a wire — namespacing
-    /// every name under `prefix` (e.g. `transport.worker:1.`) so
-    /// cross-process contributions can never collide with, or be
-    /// mistaken for, driver-side metrics. A no-op when the hub is
-    /// disabled or `counters` is empty.
-    pub fn absorb_foreign(
-        &self,
-        unit: impl Into<String>,
-        prefix: &str,
-        counters: &[(String, u64)],
-    ) {
-        if !self.enabled() || counters.is_empty() {
-            return;
-        }
-        let mut buf = self.buf(unit);
-        for (name, delta) in counters {
-            buf.counter(&format!("{prefix}{name}"), *delta);
-        }
-        self.absorb(buf);
-    }
-
     /// Merges everything absorbed so far into a [`MetricsDump`],
     /// draining the store.
     pub fn finish(&self) -> MetricsDump {
@@ -352,31 +330,6 @@ mod tests {
         b.counter("c", 1);
         clone.absorb(b);
         assert_eq!(hub.finish().counter("c"), Some(1));
-    }
-
-    #[test]
-    fn absorb_foreign_prefixes_and_counts_as_a_unit() {
-        let hub = MetricsHub::new(MetricsLevel::Core);
-        hub.absorb_foreign(
-            "worker:1",
-            "transport.worker:1.",
-            &[("frames".to_string(), 12), ("rounds".to_string(), 3)],
-        );
-        let dump = hub.finish();
-        assert_eq!(dump.units(), 1);
-        assert_eq!(dump.counter("transport.worker:1.frames"), Some(12));
-        assert_eq!(dump.counter("transport.worker:1.rounds"), Some(3));
-        assert_eq!(dump.counter("frames"), None);
-    }
-
-    #[test]
-    fn absorb_foreign_is_noop_when_disabled_or_empty() {
-        let off = MetricsHub::disabled();
-        off.absorb_foreign("worker:0", "transport.", &[("frames".to_string(), 1)]);
-        assert!(off.finish().is_empty());
-        let on = MetricsHub::new(MetricsLevel::Core);
-        on.absorb_foreign("worker:0", "transport.", &[]);
-        assert_eq!(on.finish().units(), 0);
     }
 
     #[test]

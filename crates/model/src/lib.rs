@@ -39,8 +39,8 @@
 //!   (Lemma 3.4);
 //! - [`transport`]: the round-delivery surface ([`Transport`]) the
 //!   executor routes every exchange through — in-process
-//!   ([`transport::LocalTransport`]) by default, multi-process via
-//!   `bcc-transport`;
+//!   ([`transport::LocalTransport`]) unless a host installs a
+//!   wrapping factory;
 //! - [`codec`]: bit-encoding helpers shared by the upper-bound
 //!   algorithms.
 //!
@@ -64,7 +64,6 @@ pub mod codec;
 mod error;
 mod instance;
 mod network;
-pub mod postmortem;
 mod program;
 pub mod range;
 mod simulator;
@@ -82,7 +81,7 @@ pub use simulator::{
     Transcript,
 };
 pub use symbol::{Message, Symbol};
-pub use transport::{Transport, TransportError, TransportSpec};
+pub use transport::{Transport, TransportError};
 
 /// The curated import surface for writing and running node programs:
 /// `use bcc_model::prelude::*` brings in the broadcast alphabet, the
@@ -94,7 +93,7 @@ pub mod prelude {
     pub use crate::program::{Algorithm, Decision, Inbox, InitialKnowledge, NodeProgram};
     pub use crate::simulator::{NodeView, RunOutcome, RunStats, SimConfig, Transcript};
     pub use crate::symbol::{Message, Symbol};
-    pub use crate::transport::{Transport, TransportError, TransportSpec};
+    pub use crate::transport::{Transport, TransportError};
     pub use crate::{Instance, KnowledgeMode, ModelError};
 }
 

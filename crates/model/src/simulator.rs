@@ -392,7 +392,8 @@ impl RunOutcome {
 ///
 /// Round delivery goes through a [`Transport`]: explicitly via
 /// [`transport`](Self::transport), else the process-wide default
-/// (`--transport`), else the in-process [`LocalTransport`] oracle.
+/// ([`crate::transport::set_default_factory`]), else the in-process
+/// [`LocalTransport`] oracle.
 /// All accounting stays driver-side, so the outcome, trace, and
 /// metrics are byte-identical across conforming transports.
 ///
@@ -552,7 +553,7 @@ impl SimConfig {
     /// # Errors
     ///
     /// Returns the first [`TransportError`] the configured transport
-    /// reports (spawn failure, dead worker, protocol violation).
+    /// reports (a protocol violation).
     /// Trace spans opened before the failure are closed before
     /// returning, so traced error paths stay balanced.
     pub fn try_run(
@@ -628,7 +629,7 @@ fn try_run_impl(
     trace: &mut TraceBuf,
 ) -> Result<RunOutcome, TransportError> {
     let n = instance.num_vertices();
-    // Open before the `sim` span: a spawn/handshake failure leaves no
+    // Open before the `sim` span: a failure to open leaves no
     // half-open span behind.
     transport.open(&Routes::of(instance.network()))?;
     let mut programs: Vec<_> = (0..n)
@@ -674,7 +675,6 @@ fn try_run_impl(
         if view.num_nodes() != n {
             let err = TransportError::Protocol {
                 detail: format!("round view covers {} of {n} nodes", view.num_nodes()),
-                postmortem: None,
             };
             recorder.abort(Some(round), &err);
             return Err(err);
@@ -687,7 +687,6 @@ fn try_run_impl(
                         entries.len(),
                         n.saturating_sub(1)
                     ),
-                    postmortem: None,
                 };
                 recorder.abort(Some(round), &err);
                 return Err(err);
@@ -1109,10 +1108,8 @@ mod tests {
             outbox: &[Message],
         ) -> Result<crate::transport::RoundView, TransportError> {
             if round >= self.at_round {
-                return Err(TransportError::WorkerDead {
-                    rank: 0,
+                return Err(TransportError::Protocol {
                     detail: "test kill".to_string(),
-                    postmortem: None,
                 });
             }
             self.inner.exchange(round, outbox)
@@ -1141,7 +1138,7 @@ mod tests {
             .transport(Arc::clone(&factory))
             .trace(scope.clone());
         let err = cfg.try_run(&i, &EchoBit, 0).unwrap_err();
-        assert!(matches!(err, TransportError::WorkerDead { rank: 0, .. }));
+        assert!(matches!(err, TransportError::Protocol { .. }));
         // The infallible face degrades to all-undecided, never panics.
         let out = cfg.run(&i, &EchoBit, 0);
         assert!(out.any_undecided());

@@ -9,86 +9,44 @@
 //! returns a [`RoundView`]: for every vertex, its `(port label,
 //! message)` pairs. The driver — scalar simulator or the batched
 //! engine — owns *all* accounting (trace spans, `sim.*` metrics,
-//! transcripts); a transport only moves symbols. That split is what
-//! makes a multi-process socket run byte-identical to the in-process
-//! oracle: observability never crosses the wire, so there is nothing
-//! wall-clock-shaped to diverge (DESIGN.md §14).
+//! transcripts); a transport only moves symbols, so a transport that
+//! wraps the in-process [`LocalTransport`] (to time or count
+//! deliveries, say) cannot change a report, trace or metrics byte
+//! (DESIGN.md §14).
 //!
 //! Determinism contract, in order of obligation:
 //!
 //! 1. `exchange` is a pure function of `(routes, outbox)` — same
-//!    inputs, same `RoundView`, across processes and runs.
+//!    inputs, same `RoundView`, on every run.
 //! 2. Message *multiset* per vertex is fixed by the routes; delivery
 //!    *order* inside a vertex's inbox is the transport's own. The
 //!    driver canonicalizes with [`RoundView::canonicalized`] (stable
 //!    sort by port label) before programs see an `Inbox`, so a
 //!    transport that permutes entries is still conforming.
-//! 3. Failure is a typed [`TransportError`], never a panic: a dead
-//!    worker surfaces as [`TransportError::WorkerDead`] and the run
-//!    degrades (see `SimConfig::try_run`).
+//! 3. Failure is a typed [`TransportError`], never a panic, and the
+//!    run degrades (see `SimConfig::try_run`).
 
 use crate::network::Network;
-use crate::postmortem::{Postmortem, TransportHealth};
 use crate::symbol::Message;
-use bcc_metrics::MetricsHub;
-use bcc_trace::Collector;
 use std::fmt;
 use std::sync::{Arc, RwLock};
 
 /// A delivery failure. Every variant is a condition the driver can
-/// report and degrade on; transports must never panic on I/O or
-/// protocol trouble.
+/// report and degrade on; transports must never panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TransportError {
-    /// Worker processes could not be launched or connected.
-    Spawn {
-        /// Human-readable cause (exec error, handshake timeout, …).
-        detail: String,
-    },
-    /// A worker died or stopped responding mid-run.
-    WorkerDead {
-        /// The rank of the dead worker.
-        rank: usize,
-        /// Human-readable cause (EOF, read timeout, exit status, …).
-        detail: String,
-        /// Flight-recorder dump frozen when the failure fired; `None`
-        /// for backends without a recorder. Boxed to keep the happy
-        /// path's error size small.
-        postmortem: Option<Box<Postmortem>>,
-    },
     /// The transport was driven outside its contract or answered
-    /// outside the wire protocol (wrong shape, bad handshake, use
-    /// before `open`).
+    /// outside it (wrong shape, use before `open`).
     Protocol {
         /// Human-readable cause.
         detail: String,
-        /// Flight-recorder dump frozen when the failure fired; `None`
-        /// for backends without a recorder.
-        postmortem: Option<Box<Postmortem>>,
     },
-}
-
-impl TransportError {
-    /// The flight-recorder dump attached to this error, if any.
-    pub fn postmortem(&self) -> Option<&Postmortem> {
-        match self {
-            TransportError::Spawn { .. } => None,
-            TransportError::WorkerDead { postmortem, .. }
-            | TransportError::Protocol { postmortem, .. } => postmortem.as_deref(),
-        }
-    }
 }
 
 impl fmt::Display for TransportError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TransportError::Spawn { detail } => {
-                write!(f, "transport spawn failed: {detail}")
-            }
-            TransportError::WorkerDead { rank, detail, .. } => {
-                write!(f, "transport worker {rank} died: {detail}")
-            }
-            TransportError::Protocol { detail, .. } => {
+            TransportError::Protocol { detail } => {
                 write!(f, "transport protocol violation: {detail}")
             }
         }
@@ -100,9 +58,8 @@ impl std::error::Error for TransportError {}
 /// The delivery plan of one instance: for every vertex `v` and port
 /// `p`, the label the vertex sees on that port and the peer whose
 /// broadcast arrives there. A `Routes` is the *only* topology a
-/// transport receives — workers never reconstruct a [`Network`], so
-/// the wire format is a plain table and network construction stays
-/// private to this crate.
+/// transport receives, so network construction stays private to this
+/// crate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Routes {
     /// `ports[v][p] = (port_label, peer)` in port-index order.
@@ -122,13 +79,6 @@ impl Routes {
                 })
                 .collect(),
         }
-    }
-
-    /// Builds a plan from a raw port table (`ports[v][p] =
-    /// (port_label, peer)`). Used by transports that reconstruct the
-    /// plan from the wire; peers must index into `0..ports.len()`.
-    pub fn from_ports(ports: Vec<Vec<(u64, usize)>>) -> Routes {
-        Routes { ports }
     }
 
     /// Number of vertices in the plan.
@@ -203,9 +153,9 @@ pub trait Transport {
     /// vertex's `(port label, message)` entries.
     fn exchange(&mut self, round: usize, outbox: &[Message]) -> Result<RoundView, TransportError>;
 
-    /// Quiesces the transport after the final round: a conforming
-    /// implementation returns only once every in-flight delivery of
-    /// this run has been acknowledged.
+    /// Called once after the final round, before the driver closes
+    /// the run: the transport's last chance to report a failure for
+    /// this run.
     fn barrier(&mut self) -> Result<(), TransportError> {
         Ok(())
     }
@@ -217,48 +167,20 @@ pub trait Transport {
 /// Builds [`Transport`] instances for runs. Factories are shared
 /// (`Arc<dyn TransportFactory>`) between the scalar simulator, the
 /// batched engine (one transport per lane), and the process-wide
-/// default installed by `--transport`.
+/// default (see [`set_default_factory`]).
 pub trait TransportFactory: Send + Sync {
     /// Creates a fresh transport for one run (or one lane).
-    /// Infallible by design: backends whose setup can fail return a
-    /// transport whose `open` reports the stored error.
+    /// Infallible by design: a transport whose setup can fail reports
+    /// the error from `open`.
     fn create(&self) -> Box<dyn Transport>;
 
-    /// A short human-readable tag (`"local"`, `"sockets:4"`).
+    /// A short human-readable tag (`"local"`).
     fn label(&self) -> String;
-
-    /// Drains any cross-process telemetry the factory has accumulated
-    /// (worker-origin trace spans and `transport.*` counters) into the
-    /// run's shared sinks, in rank order. Backends without workers
-    /// have nothing to flush. Callers must flush at most once per
-    /// collector lifetime — foreign events are re-sequenced per call,
-    /// so a second flush into the same collector would collide.
-    fn flush_telemetry(&self, _collector: &Collector, _hub: &MetricsHub) {}
-
-    /// Live per-worker health (no flight rings), for observation
-    /// surfaces such as `bcc-serve`'s `observe` snapshots. `None` for
-    /// backends without workers.
-    fn health(&self) -> Option<TransportHealth> {
-        None
-    }
-
-    /// Drains the postmortems recorded by this factory's flight
-    /// recorder since the last call (empty for backends without one).
-    fn take_postmortems(&self) -> Vec<Postmortem> {
-        Vec::new()
-    }
-
-    /// Wall-clock-ish transport counters (accept retries, spawns,
-    /// respawns, …) for the `--transport-wall` sidecar. Never merged
-    /// into deterministic artifacts.
-    fn wall_stats(&self) -> Vec<(String, u64)> {
-        Vec::new()
-    }
 }
 
 /// The in-process oracle: delivers straight out of the outbox slice
 /// by the routes table. This is the extracted form of the historical
-/// simulator loop and the reference every other backend is pinned
+/// simulator loop and the reference every other transport is pinned
 /// against — byte-identical traces, metrics, and outcomes.
 #[derive(Debug, Clone, Default)]
 pub struct LocalTransport {
@@ -284,13 +206,11 @@ impl Transport for LocalTransport {
             .as_ref()
             .ok_or_else(|| TransportError::Protocol {
                 detail: "exchange before open".to_string(),
-                postmortem: None,
             })?;
         let n = routes.num_nodes();
         if outbox.len() != n {
             return Err(TransportError::Protocol {
                 detail: format!("outbox has {} entries for {n} nodes", outbox.len()),
-                postmortem: None,
             });
         }
         Ok(RoundView::new(
@@ -322,56 +242,12 @@ impl TransportFactory for LocalFactory {
     }
 }
 
-/// A parsed `--transport` selector. The model crate only defines the
-/// vocabulary; `bcc-transport` maps a spec to a concrete factory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TransportSpec {
-    /// In-process delivery ([`LocalTransport`]).
-    Local,
-    /// `N` worker subprocesses over loopback TCP, each owning a
-    /// contiguous node range.
-    Sockets(usize),
-}
-
-impl TransportSpec {
-    /// Parses `"local"` or `"sockets:N"` (N ≥ 1).
-    ///
-    /// # Errors
-    ///
-    /// Returns a usage message for anything else.
-    pub fn parse(s: &str) -> Result<TransportSpec, String> {
-        if s == "local" {
-            return Ok(TransportSpec::Local);
-        }
-        if let Some(n) = s.strip_prefix("sockets:") {
-            let workers: usize = n
-                .parse()
-                .map_err(|_| format!("--transport sockets:N needs a count, got {n:?}"))?;
-            if workers == 0 {
-                return Err("--transport sockets:N needs N >= 1".to_string());
-            }
-            return Ok(TransportSpec::Sockets(workers));
-        }
-        Err(format!(
-            "unknown transport {s:?} (expected local or sockets:N)"
-        ))
-    }
-}
-
-impl fmt::Display for TransportSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TransportSpec::Local => write!(f, "local"),
-            TransportSpec::Sockets(n) => write!(f, "sockets:{n}"),
-        }
-    }
-}
-
 static DEFAULT_FACTORY: RwLock<Option<Arc<dyn TransportFactory>>> = RwLock::new(None);
 
 /// Installs the process-wide default transport factory, used by every
-/// run whose `SimConfig` has no explicit transport. `--transport`
-/// flags funnel here (via `bcc_transport::install`).
+/// run whose `SimConfig` has no explicit transport. A host that wants
+/// every run delivered through its own factory (a timing or counting
+/// wrapper around [`LocalTransport`]) installs it here.
 pub fn set_default_factory(factory: Arc<dyn TransportFactory>) {
     let mut slot = DEFAULT_FACTORY.write().unwrap_or_else(|e| e.into_inner());
     *slot = Some(factory);
@@ -477,38 +353,9 @@ mod tests {
     }
 
     #[test]
-    fn spec_parse_and_display_round_trip() {
-        assert_eq!(TransportSpec::parse("local"), Ok(TransportSpec::Local));
-        assert_eq!(
-            TransportSpec::parse("sockets:4"),
-            Ok(TransportSpec::Sockets(4))
-        );
-        assert_eq!(TransportSpec::Sockets(2).to_string(), "sockets:2");
-        assert_eq!(TransportSpec::Local.to_string(), "local");
-        assert!(TransportSpec::parse("sockets:0").is_err());
-        assert!(TransportSpec::parse("sockets:x").is_err());
-        assert!(TransportSpec::parse("carrier-pigeon").is_err());
-    }
-
-    #[test]
     fn default_factory_falls_back_to_local() {
         // Not exercised concurrently with installs: the suite never
         // installs a default inside the model crate's own tests.
         assert_eq!(default_factory().label(), "local");
-    }
-
-    #[test]
-    fn error_display_names_the_failure() {
-        let e = TransportError::WorkerDead {
-            rank: 1,
-            detail: "EOF".to_string(),
-            postmortem: None,
-        };
-        assert!(e.postmortem().is_none());
-        assert_eq!(e.to_string(), "transport worker 1 died: EOF");
-        let s = TransportError::Spawn {
-            detail: "no exe".to_string(),
-        };
-        assert!(s.to_string().contains("spawn"));
     }
 }

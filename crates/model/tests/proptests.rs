@@ -179,8 +179,7 @@ proptest! {
     /// delivers each node's messages in a permuted order still yields
     /// the canonical port-ordered `Inbox` after the driver
     /// canonicalizes — outcome, stats, transcripts, and views all pin
-    /// to the `LocalTransport` oracle. (`SocketTransport` is pinned
-    /// against the same oracle in `crates/transport`.)
+    /// to the `LocalTransport` oracle.
     #[test]
     fn permuted_delivery_yields_canonical_inboxes(
         g in arb_cycle_graph(),

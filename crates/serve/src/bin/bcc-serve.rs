@@ -17,10 +17,6 @@
 //!   --trace-level L        off | spans | costs | events (default: events when
 //!                          --trace is given, else off)
 //!   --cache PATH           persist the artifact cache in PATH
-//!   --transport T          round-delivery backend for all requests:
-//!                          local (in-process, default) or sockets:N
-//!                          (N worker subprocesses over loopback TCP);
-//!                          reports are byte-identical either way
 //!   --max-line-bytes N     longest accepted request line (default 65536)
 //!   --drain-timeout-secs T post-drain patience for lingering
 //!                          connections (default 30)
@@ -39,13 +35,12 @@ use std::time::Duration;
 const USAGE: &str = "usage: bcc-serve [--port N] [--port-file PATH] [--jobs N] \
 [--queue-cap N] [--quota N] [--seed S] [--metrics PATH] [--metrics-level off|core|full] \
 [--trace PATH] [--trace-level off|spans|costs|events] [--cache PATH] \
-[--transport local|sockets:N] [--max-line-bytes N] [--drain-timeout-secs T]";
+[--max-line-bytes N] [--drain-timeout-secs T]";
 
 struct Cli {
     server: ServerConfig,
     net: NetConfig,
     cache_dir: Option<std::path::PathBuf>,
-    transport: Option<bcc_model::TransportSpec>,
 }
 
 fn parse_u64(it: &mut std::vec::IntoIter<String>, flag: &str) -> Result<u64, String> {
@@ -58,7 +53,6 @@ fn parse_args(args: Vec<String>) -> Result<Cli, String> {
     let mut server = ServerConfig::default();
     let mut net_config = NetConfig::default();
     let mut cache_dir = None;
-    let mut transport = None;
     let mut metrics_level: Option<MetricsLevel> = None;
     let mut trace_level: Option<TraceLevel> = None;
     let mut it = args.into_iter();
@@ -109,12 +103,6 @@ fn parse_args(args: Vec<String>) -> Result<Cli, String> {
                 let v = it.next().ok_or("--cache needs a path")?;
                 cache_dir = Some(std::path::PathBuf::from(v));
             }
-            "--transport" => {
-                let v = it.next().ok_or("--transport needs a value")?;
-                transport = Some(
-                    bcc_model::TransportSpec::parse(&v).map_err(|e| format!("--transport: {e}"))?,
-                );
-            }
             "--max-line-bytes" => {
                 server.max_line_bytes = parse_u64(&mut it, "--max-line-bytes")?.max(64) as usize;
             }
@@ -141,14 +129,10 @@ fn parse_args(args: Vec<String>) -> Result<Cli, String> {
         server,
         net: net_config,
         cache_dir,
-        transport,
     })
 }
 
 fn main() -> ExitCode {
-    // Must run before anything else: under `--transport sockets:N`
-    // this binary re-execs itself as the delivery workers.
-    bcc_transport::maybe_run_worker();
     let cli = match parse_args(std::env::args().skip(1).collect()) {
         Ok(cli) => cli,
         Err(msg) => {
@@ -158,9 +142,6 @@ fn main() -> ExitCode {
     };
     if let Some(dir) = cli.cache_dir {
         bcc_experiments::cache::configure_disk(dir);
-    }
-    if let Some(spec) = cli.transport {
-        bcc_transport::install(spec);
     }
     let server = Server::start(cli.server);
     let listening = match net::start(server, cli.net) {

@@ -321,52 +321,6 @@ pub struct StatsMsg {
     pub cache_entries: u64,
 }
 
-/// Per-worker transport health inside a `snapshot` line: liveness as
-/// the coordinator last observed it, respawn count of the worker
-/// group, and currently open sessions. Only present when the
-/// installed transport backend tracks workers (i.e. `sockets:N`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WorkerHealthMsg {
-    /// Worker rank.
-    pub rank: u64,
-    /// Whether the coordinator still believes the worker alive.
-    pub alive: bool,
-    /// Times the worker group was respawned after a death.
-    pub respawns: u64,
-    /// Sessions currently open on the group.
-    pub sessions: u64,
-}
-
-/// Transport-backend health inside a `snapshot` line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TransportHealthMsg {
-    /// Backend label (`sockets:N`).
-    pub backend: String,
-    /// Per-worker health, rank-ordered. Empty until the group is
-    /// first spawned.
-    pub workers: Vec<WorkerHealthMsg>,
-}
-
-impl TransportHealthMsg {
-    fn to_json(&self) -> String {
-        let workers: Vec<String> = self
-            .workers
-            .iter()
-            .map(|w| {
-                format!(
-                    "{{\"rank\":{},\"alive\":{},\"respawns\":{},\"sessions\":{}}}",
-                    w.rank, w.alive, w.respawns, w.sessions
-                )
-            })
-            .collect();
-        format!(
-            "{{\"backend\":\"{}\",\"workers\":[{}]}}",
-            escape(&self.backend),
-            workers.join(",")
-        )
-    }
-}
-
 /// A response line, rendered with fixed key order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
@@ -400,11 +354,6 @@ pub enum Response {
         tick: u64,
         /// The counters at that tick.
         stats: StatsMsg,
-        /// Transport-backend worker health, when the installed
-        /// backend tracks workers (`None` on the local backend, which
-        /// keeps the rendered line byte-identical to the
-        /// pre-telemetry protocol there).
-        transport: Option<TransportHealthMsg>,
     },
     /// Terminates an `observe` stream.
     Observed {
@@ -488,20 +437,11 @@ impl Response {
                 s.cache_hits,
                 s.cache_entries
             ),
-            Response::Snapshot {
-                tick,
-                stats: s,
-                transport,
-            } => {
-                let transport = match transport {
-                    Some(t) => format!(",\"transport\":{}", t.to_json()),
-                    None => String::new(),
-                };
+            Response::Snapshot { tick, stats: s } => {
                 format!(
                     "{{\"type\":\"snapshot\",\"tick\":{tick},\"accepted\":{},\"rejected\":{},\
                      \"completed\":{},\"cancelled\":{},\"drained\":{},\"queue_depth\":{},\
-                     \"draining\":{},\"cache_lookups\":{},\"cache_hits\":{},\"cache_entries\":{}\
-                     {transport}}}",
+                     \"draining\":{},\"cache_lookups\":{},\"cache_hits\":{},\"cache_entries\":{}}}",
                     s.accepted,
                     s.rejected,
                     s.completed,
@@ -635,20 +575,6 @@ mod tests {
             Response::Snapshot {
                 tick: 3,
                 stats: StatsMsg::default(),
-                transport: None,
-            },
-            Response::Snapshot {
-                tick: 3,
-                stats: StatsMsg::default(),
-                transport: Some(TransportHealthMsg {
-                    backend: "sockets:2".into(),
-                    workers: vec![WorkerHealthMsg {
-                        rank: 0,
-                        alive: true,
-                        respawns: 0,
-                        sessions: 2,
-                    }],
-                }),
             },
             Response::Observed {
                 snapshots: 2,
@@ -664,15 +590,10 @@ mod tests {
                 completed: 3,
                 ..Default::default()
             },
-            transport: None,
         }
         .to_json();
         assert!(snap.starts_with(r#"{"type":"snapshot","tick":3,"#));
         assert!(snap.contains("\"completed\":3"));
-        // Without transport health, the rendered line is unchanged
-        // from the pre-telemetry protocol: local-backend transcripts
-        // stay pinned byte-for-byte.
-        assert!(!snap.contains("transport"));
         assert_eq!(
             Response::Observed {
                 snapshots: 2,
@@ -681,35 +602,6 @@ mod tests {
             .to_json(),
             r#"{"type":"observed","snapshots":2,"tick":3}"#
         );
-    }
-
-    #[test]
-    fn snapshot_renders_transport_health_when_present() {
-        let line = Response::Snapshot {
-            tick: 2,
-            stats: StatsMsg::default(),
-            transport: Some(TransportHealthMsg {
-                backend: "sockets:2".into(),
-                workers: vec![
-                    WorkerHealthMsg {
-                        rank: 0,
-                        alive: true,
-                        respawns: 0,
-                        sessions: 1,
-                    },
-                    WorkerHealthMsg {
-                        rank: 1,
-                        alive: false,
-                        respawns: 1,
-                        sessions: 0,
-                    },
-                ],
-            }),
-        }
-        .to_json();
-        assert!(line.contains("\"transport\":{\"backend\":\"sockets:2\",\"workers\":["));
-        assert!(line.contains("{\"rank\":1,\"alive\":false,\"respawns\":1,\"sessions\":0}"));
-        assert!(json::parse(&line).is_ok(), "bad: {line}");
     }
 
     #[test]

@@ -415,11 +415,6 @@ impl Server {
     }
 
     fn flush_dumps(&self) -> std::io::Result<()> {
-        // Drain worker-shipped transport telemetry (a no-op on the
-        // local backend) before the sinks finish, so daemon dumps
-        // carry the same rank-ordered transport.* family as batch
-        // runs (DESIGN.md §15).
-        bcc_model::transport::default_factory().flush_telemetry(&self.collector, &self.hub);
         if let Some(path) = &self.config.metrics_path {
             let file = std::fs::File::create(path)?;
             let mut w = std::io::BufWriter::new(file);
@@ -453,9 +448,8 @@ impl Server {
             .unwrap_or_else(|e| e.into_inner())
             .insert(ticket.req, ticket.token.clone());
         let seed = ticket.submit.seed.unwrap_or(self.config.default_seed);
-        // Observers are the daemon's own collector/hub; the transport
-        // is deliberately left unset so requests run on whatever the
-        // daemon installed at startup (`--transport`).
+        // Observers are the daemon's own collector/hub; requests run
+        // on the process-default transport.
         let mut request = RunRequest::new(&ticket.submit.experiment, ticket.submit.quick, seed)
             .observed(self.collector.clone(), self.hub.clone());
         request.timeout = ticket.submit.timeout_secs.map(Duration::from_secs);

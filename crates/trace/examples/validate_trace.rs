@@ -12,15 +12,7 @@
 //! 4. span opens and closes balance per `(unit, name)` pair — a close
 //!    in one unit can never satisfy an open in another, so a
 //!    cross-unit mismatch shows up as one unit with surplus opens and
-//!    another with surplus closes rather than being absorbed silently;
-//! 5. worker-origin units (`transport/worker:<rank>`, replayed from
-//!    telemetry the workers shipped over the wire) start with their
-//!    `worker:<rank>` wrapper `span_start` and end with its matching
-//!    `span_end` — so a truncated or mis-merged worker replay cannot
-//!    masquerade as a valid unit. Because only *closed* sessions ship
-//!    telemetry (a dead worker's open sessions are counted as
-//!    `truncated` instead), these checks must hold even for traces
-//!    collected on a run that lost a worker.
+//!    another with surplus closes rather than being absorbed silently.
 //!
 //! All violations in a file are reported, not just the first — a
 //! truncated or interleaved trace usually breaks several checks at
@@ -80,10 +72,6 @@ fn validate(text: &str) -> Result<String, Vec<String>> {
     // survive even when nesting is already broken.
     let mut opens: BTreeMap<(String, String), u64> = BTreeMap::new();
     let mut closes: BTreeMap<(String, String), u64> = BTreeMap::new();
-    // Per-unit first and last (kind, name), for the worker wrapper
-    // check.
-    type Edge = (EventKind, String);
-    let mut bounds: BTreeMap<String, (Edge, Edge)> = BTreeMap::new();
     let mut events = 0usize;
     for (i, line) in text.lines().enumerate() {
         let lineno = i + 1;
@@ -127,11 +115,6 @@ fn validate(text: &str) -> Result<String, Vec<String>> {
             }
             EventKind::Point | EventKind::Counter | EventKind::Gauge => {}
         }
-        let this = (e.kind, e.name.clone());
-        bounds
-            .entry(e.unit.clone())
-            .and_modify(|(_, last)| *last = this.clone())
-            .or_insert_with(|| (this.clone(), this.clone()));
         events += 1;
     }
     for (unit, stack) in &open {
@@ -155,29 +138,8 @@ fn validate(text: &str) -> Result<String, Vec<String>> {
             ));
         }
     }
-    // Worker-origin units must be bracketed by the wrapper span the
-    // driver synthesises at flush: `transport/worker:<rank>` opens
-    // with span_start `worker:<rank>` and closes with its span_end.
-    for (unit, (first, last)) in &bounds {
-        let Some(wrapper) = unit.strip_prefix("transport/") else {
-            continue;
-        };
-        if !wrapper.starts_with("worker:") {
-            continue;
-        }
-        if *first != (EventKind::SpanStart, wrapper.to_string()) {
-            violations.push(format!(
-                "unit `{unit}` does not start with its `{wrapper}` wrapper span_start"
-            ));
-        }
-        if *last != (EventKind::SpanEnd, wrapper.to_string()) {
-            violations.push(format!(
-                "unit `{unit}` does not end with its `{wrapper}` wrapper span_end"
-            ));
-        }
-    }
     // Unit classes (the prefix before `/`) tell a reader at a glance
-    // which subsystems contributed: jobs, suite, transport workers.
+    // which subsystems contributed: jobs, suite.
     let classes: std::collections::BTreeSet<&str> = open
         .keys()
         .map(|u| u.split('/').next().unwrap_or(u.as_str()))

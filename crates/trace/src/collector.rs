@@ -2,7 +2,7 @@
 //! trace out.
 
 use crate::buf::{TraceBuf, TraceLevel};
-use crate::event::{Event, EventKind};
+use crate::event::Event;
 use crate::sink::Sink;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -66,74 +66,6 @@ impl Collector {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .push(buf.into_events());
-    }
-
-    /// Absorbs events recorded by a *foreign* buffer — one that lived
-    /// in another process (a transport worker) and crossed a wire —
-    /// re-homing them under `unit` as if they had been recorded into
-    /// a local [`TraceBuf`] of that unit: sequence numbers are
-    /// reassigned densely, `path`s are recomputed from the span
-    /// structure (a span's own start/end exclude its name, exactly
-    /// like [`TraceBuf`]), and records below the collector's level
-    /// are dropped. Callers feed each unit's events in one call, in a
-    /// canonical order, so the merge stays deterministic; feeding the
-    /// same unit twice would produce colliding sequence numbers.
-    pub fn absorb_foreign(&self, unit: impl Into<String>, events: Vec<Event>) {
-        if !self.enabled() || events.is_empty() {
-            return;
-        }
-        let unit = unit.into();
-        let spans = self.level >= TraceLevel::Spans;
-        let costs = self.level >= TraceLevel::Costs;
-        let points = self.level >= TraceLevel::Events;
-        let mut seq = 0u64;
-        let mut stack: Vec<String> = Vec::new();
-        let mut kept: Vec<Event> = Vec::new();
-        let keep = |e: Event, stack: &[String], seq: &mut u64, kept: &mut Vec<Event>| {
-            kept.push(Event {
-                unit: unit.clone(),
-                seq: *seq,
-                path: stack.join("/"),
-                kind: e.kind,
-                name: e.name,
-                fields: e.fields,
-            });
-            *seq += 1;
-        };
-        for e in events {
-            match e.kind {
-                EventKind::SpanStart => {
-                    let name = e.name.clone();
-                    if spans {
-                        keep(e, &stack, &mut seq, &mut kept);
-                    }
-                    stack.push(name);
-                }
-                EventKind::SpanEnd => {
-                    stack.pop();
-                    if spans {
-                        keep(e, &stack, &mut seq, &mut kept);
-                    }
-                }
-                EventKind::Counter | EventKind::Gauge => {
-                    if costs {
-                        keep(e, &stack, &mut seq, &mut kept);
-                    }
-                }
-                EventKind::Point => {
-                    if points {
-                        keep(e, &stack, &mut seq, &mut kept);
-                    }
-                }
-            }
-        }
-        if kept.is_empty() {
-            return;
-        }
-        self.store
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(kept);
     }
 
     /// Merges everything absorbed so far into an ordered [`Trace`].
@@ -261,54 +193,6 @@ mod tests {
         b.event("x", vec![]);
         c2.absorb(b);
         assert_eq!(c.finish().events().len(), 1);
-    }
-
-    #[test]
-    fn absorb_foreign_rehomes_reseqs_and_repaths() {
-        // Record into a worker-side buffer, strip it down to what a
-        // wire crossing preserves, and check the collector rebuilds
-        // unit/seq/path as if the events had been recorded locally.
-        let mut remote = TraceBuf::new(TraceLevel::Events, "worker-local-name");
-        remote.span_start("session", vec![field("n", 5u64)]);
-        remote.counter("frames", 3);
-        remote.event("routed", vec![]);
-        remote.span_end("session", vec![]);
-        let c = Collector::new(TraceLevel::Events);
-        c.absorb_foreign("transport/worker:1", remote.into_events());
-        let ev = c.finish();
-        let ev = ev.events();
-        assert_eq!(ev.len(), 4);
-        assert!(ev.iter().all(|e| e.unit == "transport/worker:1"));
-        assert_eq!(
-            ev.iter().map(|e| e.seq).collect::<Vec<_>>(),
-            vec![0, 1, 2, 3]
-        );
-        assert_eq!(ev[0].path, "");
-        assert_eq!(ev[1].path, "session");
-        assert_eq!(ev[2].path, "session");
-        assert_eq!(ev[3].path, "");
-    }
-
-    #[test]
-    fn absorb_foreign_filters_by_collector_level() {
-        let mut remote = TraceBuf::new(TraceLevel::Events, "w");
-        remote.span_start("session", vec![]);
-        remote.counter("frames", 1);
-        remote.event("routed", vec![]);
-        remote.span_end("session", vec![]);
-        let events = remote.into_events();
-
-        let spans_only = Collector::new(TraceLevel::Spans);
-        spans_only.absorb_foreign("transport/worker:0", events.clone());
-        let t = spans_only.finish();
-        assert_eq!(t.events().len(), 2);
-        // Sequence numbers stay dense after filtering, mirroring a
-        // local buffer recording at the same level.
-        assert_eq!(t.events()[1].seq, 1);
-
-        let off = Collector::disabled();
-        off.absorb_foreign("transport/worker:0", events);
-        assert!(off.finish().is_empty());
     }
 
     #[test]

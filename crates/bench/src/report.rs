@@ -17,7 +17,7 @@
 //!   tolerance, and every `"overhead_pct"` field at or below the
 //!   overhead budget.
 
-use bcc_metrics::json::{parse, JsonValue};
+use bcc_json::{parse, quote, write_str, JsonValue};
 use bcc_metrics::MetricsDump;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -357,7 +357,11 @@ pub fn render_json(inputs: &Inputs, failures: &[String]) -> String {
             dump.units()
         );
         for (i, (name, value)) in dump.counters().iter().enumerate() {
-            let _ = write!(out, "{}\"{name}\":{value}", if i > 0 { "," } else { "" });
+            if i > 0 {
+                out.push(',');
+            }
+            write_str(&mut out, name);
+            let _ = write!(out, ":{value}");
         }
         out.push_str("}},");
     }
@@ -377,16 +381,9 @@ pub fn render_json(inputs: &Inputs, failures: &[String]) -> String {
             profile.totals.len()
         );
     }
-    let names: Vec<String> = inputs
-        .benches
-        .iter()
-        .map(|b| format!("\"{}\"", b.name))
-        .collect();
+    let names: Vec<String> = inputs.benches.iter().map(|b| quote(&b.name)).collect();
     let _ = write!(out, "\"benches\":[{}],", names.join(","));
-    let fails: Vec<String> = failures
-        .iter()
-        .map(|f| format!("\"{}\"", f.replace('\\', "\\\\").replace('"', "\\\"")))
-        .collect();
+    let fails: Vec<String> = failures.iter().map(|f| quote(f)).collect();
     let _ = write!(
         out,
         "\"passed\":{},\"failures\":[{}]}}",
@@ -423,7 +420,9 @@ fn render_leaf(v: &JsonValue) -> String {
     match v {
         JsonValue::Null => "null".to_string(),
         JsonValue::Bool(b) => b.to_string(),
-        JsonValue::Num(n) => {
+        JsonValue::UInt(n) => n.to_string(),
+        JsonValue::Int(n) => n.to_string(),
+        JsonValue::Float(n) => {
             if n.fract() == 0.0 && n.abs() < 9e15 {
                 format!("{}", *n as i64)
             } else {
@@ -578,6 +577,40 @@ mod tests {
                 .and_then(JsonValue::as_u64),
             Some(1)
         );
+    }
+
+    #[test]
+    fn json_report_escapes_names_and_failures() {
+        let inputs = Inputs {
+            metrics: Some(dump_with(&[("a\"b", 1)])),
+            benches: vec![load_bench("B\"\\.json", "{}").unwrap()],
+            ..Default::default()
+        };
+        let failure = "line one\nline \"two\"\t\\ end\u{1}".to_string();
+        let text = render_json(&inputs, std::slice::from_ref(&failure));
+        let v = parse(&text).unwrap_or_else(|e| panic!("{e}: {text}"));
+        let counter = v
+            .get("metrics")
+            .and_then(|m| m.get("counters"))
+            .and_then(|c| c.get("a\"b"));
+        assert_eq!(counter.and_then(JsonValue::as_u64), Some(1));
+        let bench = v.get("benches").and_then(JsonValue::as_arr).unwrap();
+        assert_eq!(bench[0].as_str(), Some("B\"\\.json"));
+        let fails = v.get("failures").and_then(JsonValue::as_arr).unwrap();
+        assert_eq!(fails[0].as_str(), Some(failure.as_str()));
+    }
+
+    #[test]
+    fn leaves_render_integers_exactly() {
+        for (text, want) in [
+            ("7", "7"),
+            ("7.0", "7"),
+            ("-3", "-3"),
+            ("2.5", "2.5"),
+            ("18446744073709551615", "18446744073709551615"),
+        ] {
+            assert_eq!(render_leaf(&parse(text).unwrap()), want, "{text}");
+        }
     }
 
     fn tiny_profile(bits: u64) -> bcc_prof::Profile {

@@ -2,26 +2,8 @@
 //! reduced reports, and run metrics — the JSONL sink behind `--json`.
 
 use crate::job::{JobOutput, Report, Value};
+use bcc_json::quote;
 use bcc_runner::{JobResult, JobStatus, MetricsSnapshot};
-
-/// Escapes a string for embedding in a JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 fn float_json(x: f64) -> String {
     if x.is_finite() {
@@ -40,7 +22,7 @@ impl Value {
             Value::Int(v) => v.to_string(),
             Value::Float(v) => float_json(*v),
             Value::Bool(v) => v.to_string(),
-            Value::Str(v) => format!("\"{}\"", escape(v)),
+            Value::Str(v) => quote(v),
         }
     }
 }
@@ -52,7 +34,7 @@ where
 {
     let body: Vec<String> = pairs
         .into_iter()
-        .map(|(k, v)| format!("\"{}\":{}", escape(k), v.as_ref()))
+        .map(|(k, v)| format!("{}:{}", quote(k), v.as_ref()))
         .collect();
     format!("{{{}}}", body.join(","))
 }
@@ -69,12 +51,12 @@ impl JobOutput {
     /// This output as a JSON object.
     pub fn to_json(&self) -> String {
         object([
-            ("experiment", format!("\"{}\"", escape(&self.experiment))),
+            ("experiment", quote(&self.experiment)),
             ("shard", self.shard.to_string()),
-            ("label", format!("\"{}\"", escape(&self.label))),
+            ("label", quote(&self.label)),
             ("values", values_json(&self.values)),
             ("checks", checks_json(&self.checks)),
-            ("text", format!("\"{}\"", escape(&self.text))),
+            ("text", quote(&self.text)),
         ])
     }
 }
@@ -83,13 +65,13 @@ impl Report {
     /// This report as a JSON object.
     pub fn to_json(&self) -> String {
         object([
-            ("experiment", format!("\"{}\"", escape(&self.experiment))),
-            ("title", format!("\"{}\"", escape(&self.title))),
+            ("experiment", quote(&self.experiment)),
+            ("title", quote(&self.title)),
             ("params", values_json(&self.params)),
             ("values", values_json(&self.values)),
             ("checks", checks_json(&self.checks)),
             ("passed", self.passed.to_string()),
-            ("text", format!("\"{}\"", escape(&self.text))),
+            ("text", quote(&self.text)),
         ])
     }
 }
@@ -98,15 +80,12 @@ impl Report {
 pub fn job_record(result: &JobResult<JobOutput>) -> String {
     let (output, error) = match &result.status {
         JobStatus::Completed(o) => (o.to_json(), "null".to_string()),
-        JobStatus::Failed(e) => (
-            "null".to_string(),
-            format!("\"{}\"", escape(&e.to_string())),
-        ),
+        JobStatus::Failed(e) => ("null".to_string(), quote(&e.to_string())),
         JobStatus::TimedOut | JobStatus::Cancelled => ("null".to_string(), "null".to_string()),
     };
     object([
         ("type", "\"job\"".to_string()),
-        ("id", format!("\"{}\"", escape(&result.id))),
+        ("id", quote(&result.id)),
         ("seed", result.seed.to_string()),
         ("status", format!("\"{}\"", result.status.tag())),
         ("attempts", result.attempts.to_string()),
@@ -134,12 +113,6 @@ pub fn metrics_record(m: &MetricsSnapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn escapes_control_and_quote_chars() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
-    }
 
     #[test]
     fn value_literals() {

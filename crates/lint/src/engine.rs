@@ -1,11 +1,12 @@
 //! Workspace walking (optionally parallel) and the JSON/SARIF
 //! renderers. Both output formats are byte-stable: findings arrive
 //! pre-sorted, file parsing is chunked deterministically across
-//! threads, and every string passes through one [`escape`].
+//! threads, and every string passes through [`bcc_json::quote`].
 
 use crate::rules::Finding;
 use crate::source::SourceFile;
 use crate::Workspace;
+use bcc_json::quote;
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
@@ -128,23 +129,24 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 
 /// Renders one finding as a JSONL record.
 pub fn json_record(f: &Finding, baselined: bool) -> String {
-    let chain = f
-        .chain
-        .iter()
-        .map(|c| format!("\"{}\"", escape(c)))
-        .collect::<Vec<_>>()
-        .join(",");
+    let chain = chain_json(f);
     format!(
-        "{{\"rule\":\"{}\",\"severity\":\"{}\",\"file\":\"{}\",\"line\":{},\"baselined\":{},\"message\":\"{}\",\"snippet\":\"{}\",\"chain\":[{}]}}",
+        "{{\"rule\":\"{}\",\"severity\":\"{}\",\"file\":{},\"line\":{},\"baselined\":{},\"message\":{},\"snippet\":{},\"chain\":[{}]}}",
         f.rule,
         f.severity,
-        escape(&f.file),
+        quote(&f.file),
         f.line,
         baselined,
-        escape(&f.message),
-        escape(&f.snippet),
+        quote(&f.message),
+        quote(&f.snippet),
         chain,
     )
+}
+
+/// The call chain as comma-separated JSON strings.
+fn chain_json(f: &Finding) -> String {
+    let quoted: Vec<String> = f.chain.iter().map(|c| quote(c)).collect();
+    quoted.join(",")
 }
 
 /// Renders the full finding set as a SARIF 2.1.0 report (the CI
@@ -170,42 +172,20 @@ pub fn sarif_report(findings: &[(&Finding, bool)]) -> String {
             out.push(',');
         }
         let level = if *baselined { "note" } else { "error" };
-        let chain = f
-            .chain
-            .iter()
-            .map(|c| format!("\"{}\"", escape(c)))
-            .collect::<Vec<_>>()
-            .join(",");
+        let chain = chain_json(f);
         let _ = write!(
             out,
-            "{{\"ruleId\":\"{}\",\"level\":\"{level}\",\"message\":{{\"text\":\"{}\"}},\
-             \"locations\":[{{\"physicalLocation\":{{\"artifactLocation\":{{\"uri\":\"{}\"}},\
+            "{{\"ruleId\":\"{}\",\"level\":\"{level}\",\"message\":{{\"text\":{}}},\
+             \"locations\":[{{\"physicalLocation\":{{\"artifactLocation\":{{\"uri\":{}}},\
              \"region\":{{\"startLine\":{}}}}}}}],\
              \"properties\":{{\"baselined\":{baselined},\"chain\":[{chain}]}}}}",
             f.rule,
-            escape(&f.message),
-            escape(&f.file),
+            quote(&f.message),
+            quote(&f.file),
             f.line,
         );
     }
     out.push_str("]}]}\n");
-    out
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
     out
 }
 

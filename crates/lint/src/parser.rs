@@ -144,7 +144,7 @@ const KEYWORDS: [&str; 31] = [
 pub fn parse_file(file: &SourceFile) -> ParsedFile {
     let code: Vec<&Token> = file.code().collect();
     let (crate_name, module) = crate_and_module(&file.path);
-    let mut p = Parser {
+    let mut p = ItemParser {
         code: &code,
         file,
         fns: Vec::new(),
@@ -162,7 +162,7 @@ pub fn parse_file(file: &SourceFile) -> ParsedFile {
     }
 }
 
-struct Parser<'a> {
+struct ItemParser<'a> {
     code: &'a [&'a Token],
     file: &'a SourceFile,
     fns: Vec<ParsedFn>,
@@ -175,7 +175,7 @@ struct Parser<'a> {
     pending: Option<String>,
 }
 
-impl Parser<'_> {
+impl ItemParser<'_> {
     fn at(&self, i: usize) -> Option<&Token> {
         self.code.get(i).copied()
     }

@@ -78,8 +78,8 @@ pub struct Workspace {
 /// Crates whose non-test code feeds experiment reports: the D1 scope.
 /// `crates/trace` and `crates/metrics` are included because merged
 /// traces and metric dumps carry the same byte-identity guarantee as
-/// reports.
-pub const D1_PATHS: [&str; 10] = [
+/// reports, and `crates/json` because it renders their bytes.
+pub const D1_PATHS: [&str; 11] = [
     "crates/experiments/",
     "crates/runner/",
     "crates/partitions/",
@@ -90,6 +90,7 @@ pub const D1_PATHS: [&str; 10] = [
     "crates/metrics/",
     "crates/serve/",
     "crates/prof/",
+    "crates/json/",
 ];
 
 /// Crates allowed to read clocks: the runner owns deadlines, latency

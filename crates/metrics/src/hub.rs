@@ -2,9 +2,9 @@
 
 use crate::buf::{GaugeStat, MetricsBuf};
 use crate::hist::HistogramSnapshot;
-use crate::json::{self, JsonValue};
 use crate::level::MetricsLevel;
 use crate::sink::{render_lines, MetricsJsonlSink, MetricsSummarySink};
+use bcc_json::{self as json, JsonValue};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -194,78 +194,75 @@ impl MetricsDump {
             if line.trim().is_empty() {
                 continue;
             }
-            let v = json::parse(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-            let kind = v
-                .get("type")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| format!("line {}: missing \"type\"", lineno + 1))?;
-            let field = |key: &str| -> Result<u64, String> {
-                v.get(key)
-                    .and_then(JsonValue::as_u64)
-                    .ok_or_else(|| format!("line {}: missing \"{key}\"", lineno + 1))
-            };
-            let name = || -> Result<String, String> {
-                v.get("name")
-                    .and_then(JsonValue::as_str)
-                    .map(str::to_string)
-                    .ok_or_else(|| format!("line {}: missing \"name\"", lineno + 1))
-            };
-            match kind {
-                "meta" => {
-                    let level_name = v
-                        .get("level")
-                        .and_then(JsonValue::as_str)
-                        .ok_or_else(|| format!("line {}: missing \"level\"", lineno + 1))?;
-                    dump.level = MetricsLevel::from_name(level_name)
-                        .ok_or_else(|| format!("line {}: bad level '{level_name}'", lineno + 1))?;
-                    dump.units = field("units")?;
-                    saw_meta = true;
-                }
-                "counter" => {
-                    dump.counters.insert(name()?, field("value")?);
-                }
-                "gauge" => {
-                    dump.gauges.insert(
-                        name()?,
-                        GaugeStat {
-                            count: field("count")?,
-                            min: field("min")?,
-                            max: field("max")?,
-                            sum: field("sum")?,
-                        },
-                    );
-                }
-                "hist" => {
-                    let mut h = HistogramSnapshot::empty();
-                    h.count = field("count")?;
-                    h.sum = field("sum")?;
-                    h.max = field("max")?;
-                    let buckets = v
-                        .get("buckets")
-                        .and_then(JsonValue::as_arr)
-                        .ok_or_else(|| format!("line {}: missing \"buckets\"", lineno + 1))?;
-                    for pair in buckets {
-                        let p = pair
-                            .as_arr()
-                            .filter(|p| p.len() == 2)
-                            .ok_or_else(|| format!("line {}: bad bucket pair", lineno + 1))?;
-                        let (i, c) = (p[0].as_u64(), p[1].as_u64());
-                        match (i, c) {
-                            (Some(i), Some(c)) if (i as usize) < h.buckets.len() => {
-                                h.buckets[i as usize] = c;
-                            }
-                            _ => return Err(format!("line {}: bad bucket pair", lineno + 1)),
-                        }
-                    }
-                    dump.hists.insert(name()?, h);
-                }
-                other => return Err(format!("line {}: unknown type '{other}'", lineno + 1)),
-            }
+            dump.parse_line(line, &mut saw_meta)
+                .map_err(|e| format!("line {}: {e}", lineno + 1))?;
         }
         if !saw_meta {
             return Err("dump has no meta line".to_string());
         }
         Ok(dump)
+    }
+
+    /// Folds one dump line into `self`.
+    fn parse_line(&mut self, line: &str, saw_meta: &mut bool) -> Result<(), String> {
+        let v = json::parse(line)?;
+        let missing = |key: &str| format!("missing \"{key}\"");
+        let field = |key: &str| {
+            v.get(key)
+                .and_then(JsonValue::as_u64)
+                .ok_or_else(|| missing(key))
+        };
+        let text = |key: &str| {
+            v.get(key)
+                .and_then(JsonValue::as_str)
+                .ok_or_else(|| missing(key))
+        };
+        let name = || text("name").map(str::to_string);
+        match text("type")? {
+            "meta" => {
+                let level_name = text("level")?;
+                self.level = MetricsLevel::from_name(level_name)
+                    .ok_or_else(|| format!("bad level '{level_name}'"))?;
+                self.units = field("units")?;
+                *saw_meta = true;
+            }
+            "counter" => {
+                self.counters.insert(name()?, field("value")?);
+            }
+            "gauge" => {
+                let stat = GaugeStat {
+                    count: field("count")?,
+                    min: field("min")?,
+                    max: field("max")?,
+                    sum: field("sum")?,
+                };
+                self.gauges.insert(name()?, stat);
+            }
+            "hist" => {
+                let mut h = HistogramSnapshot::empty();
+                h.count = field("count")?;
+                h.sum = field("sum")?;
+                h.max = field("max")?;
+                let buckets = v
+                    .get("buckets")
+                    .and_then(JsonValue::as_arr)
+                    .ok_or_else(|| missing("buckets"))?;
+                for pair in buckets {
+                    let slot = match pair.as_arr() {
+                        Some([i, c]) => i
+                            .as_u64()
+                            .and_then(|i| h.buckets.get_mut(usize::try_from(i).ok()?))
+                            .zip(c.as_u64()),
+                        _ => None,
+                    };
+                    let (slot, c) = slot.ok_or_else(|| "bad bucket pair".to_string())?;
+                    *slot = c;
+                }
+                self.hists.insert(name()?, h);
+            }
+            other => return Err(format!("unknown type '{other}'")),
+        }
+        Ok(())
     }
 }
 
@@ -334,11 +331,18 @@ mod tests {
 
     #[test]
     fn jsonl_round_trips() {
-        let dump = sample_hub(MetricsLevel::Full).finish();
-        let text = dump.to_jsonl_string();
-        let parsed = MetricsDump::parse_jsonl(&text).unwrap();
-        assert_eq!(parsed, dump);
-        assert_eq!(parsed.to_jsonl_string(), text);
+        // Counters past 2^53 must come back exactly, not via `f64`.
+        let wide = MetricsHub::new(MetricsLevel::Full);
+        let mut b = wide.buf("u");
+        b.counter("big", (1 << 53) + 1);
+        b.counter("max", u64::MAX);
+        wide.absorb(b);
+        for dump in [sample_hub(MetricsLevel::Full).finish(), wide.finish()] {
+            let text = dump.to_jsonl_string();
+            let parsed = MetricsDump::parse_jsonl(&text).unwrap();
+            assert_eq!(parsed, dump);
+            assert_eq!(parsed.to_jsonl_string(), text);
+        }
     }
 
     #[test]

@@ -29,8 +29,8 @@
 //!   log₂ histogram. The atomic recorder serves the runner's
 //!   wall-clock profiling; the snapshot doubles as the in-buffer
 //!   histogram here.
-//! - [`json`]: a minimal JSON parser for reading dumps and the
-//!   committed `BENCH_*.json` series back (used by `bcc-report`).
+//! - [`json`]: the workspace JSON codec (`bcc-json`), re-exported
+//!   for callers that reach it through this crate.
 //!
 //! # The invariant
 //!
@@ -62,11 +62,11 @@
 mod buf;
 mod hist;
 mod hub;
-pub mod json;
 mod level;
 mod scope;
 pub mod sink;
 
+pub use bcc_json as json;
 pub use buf::{GaugeStat, MetricsBuf};
 pub use hist::{Histogram, HistogramSnapshot, NUM_BUCKETS};
 pub use hub::{MetricsDump, MetricsHub};

@@ -10,44 +10,15 @@
 //! of the merged event stream — byte-identical across `--jobs` and
 //! same-seed re-runs, like every other deterministic artifact.
 
+use bcc_json::write_str;
+use bcc_trace::json::write_fields;
 use bcc_trace::{Event, EventKind, FieldValue};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-fn push_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn push_fields(out: &mut String, fields: &[(String, FieldValue)]) {
-    out.push('{');
-    for (i, (k, v)) in fields.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_escaped(out, k);
-        out.push(':');
-        out.push_str(&v.to_json());
-    }
-    out.push('}');
-}
-
 fn push_common(out: &mut String, name: &str, ph: char, tid: usize, ts: u64) {
     out.push_str("{\"name\":");
-    push_escaped(out, name);
+    write_str(out, name);
     let _ = write!(out, ",\"ph\":\"{ph}\",\"pid\":1,\"tid\":{tid},\"ts\":{ts}");
 }
 
@@ -76,7 +47,7 @@ pub fn render_chrome(events: &[Event]) -> String {
                 tids.insert(&e.unit, next_tid);
                 let mut meta = String::from("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1");
                 let _ = write!(meta, ",\"tid\":{next_tid},\"args\":{{\"name\":");
-                push_escaped(&mut meta, &e.unit);
+                write_str(&mut meta, &e.unit);
                 meta.push_str("}}");
                 emit(meta, &mut first);
                 next_tid
@@ -92,7 +63,7 @@ pub fn render_chrome(events: &[Event]) -> String {
                 };
                 push_common(&mut line, &e.name, ph, tid, e.seq);
                 line.push_str(",\"args\":");
-                push_fields(&mut line, &e.fields);
+                write_fields(&mut line, &e.fields);
                 line.push('}');
             }
             EventKind::Counter => {
@@ -105,13 +76,13 @@ pub fn render_chrome(events: &[Event]) -> String {
                 let value = *slot;
                 push_common(&mut line, &e.name, 'C', tid, e.seq);
                 line.push_str(",\"args\":{");
-                push_escaped(&mut line, &e.name);
+                write_str(&mut line, &e.name);
                 let _ = write!(line, ":{value}}}}}");
             }
             EventKind::Gauge => {
                 push_common(&mut line, &e.name, 'C', tid, e.seq);
                 line.push_str(",\"args\":{");
-                push_escaped(&mut line, &e.name);
+                write_str(&mut line, &e.name);
                 line.push(':');
                 let value = e
                     .field("value")
@@ -123,7 +94,7 @@ pub fn render_chrome(events: &[Event]) -> String {
             EventKind::Point => {
                 push_common(&mut line, &e.name, 'i', tid, e.seq);
                 line.push_str(",\"s\":\"t\",\"args\":");
-                push_fields(&mut line, &e.fields);
+                write_fields(&mut line, &e.fields);
                 line.push('}');
             }
         }
@@ -160,12 +131,12 @@ mod tests {
         assert!(chrome.contains("\"sim.bits_broadcast\":10"));
         assert!(chrome.contains("\"ph\":\"i\""));
         // Valid JSON by the workspace's own parser.
-        assert!(bcc_metrics::json::parse(&chrome).is_ok());
+        assert!(bcc_json::parse(&chrome).is_ok());
     }
 
     #[test]
     fn empty_stream_is_valid_json() {
         let chrome = render_chrome(&[]);
-        assert!(bcc_metrics::json::parse(&chrome).is_ok());
+        assert!(bcc_json::parse(&chrome).is_ok());
     }
 }

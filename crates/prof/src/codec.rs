@@ -18,35 +18,15 @@
 //! different schema key (`bcc_prof_wall`) so neither artifact can be
 //! mistaken for the other.
 //!
-//! Quantities are exact up to 2^53 — the JSON interop limit shared by
-//! every double-based consumer of these files (Chrome's trace viewer
-//! included). Logical costs in this workspace are bit counts orders
-//! of magnitude below that bound.
+//! Quantities are `u64` and round-trip exactly across their whole
+//! range.
 
 use crate::profile::{CounterTotal, Frame, Profile, SpanStat, TotalSource};
-use bcc_metrics::json::{self, JsonValue};
+use bcc_json::{self as json, write_str, JsonValue};
 use std::fmt::Write as _;
 
 /// Schema version emitted in the header line.
 pub const PROFILE_SCHEMA_VERSION: u64 = 1;
-
-fn push_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
 
 /// Renders a profile into its canonical JSONL bytes.
 pub fn profile_to_jsonl(profile: &Profile) -> String {
@@ -60,14 +40,14 @@ pub fn profile_to_jsonl(profile: &Profile) -> String {
     );
     for s in &profile.spans {
         out.push_str("{\"kind\":\"span\",\"path\":");
-        push_escaped(&mut out, &s.path);
+        write_str(&mut out, &s.path);
         let _ = writeln!(out, ",\"count\":{}}}", s.count);
     }
     for f in &profile.frames {
         out.push_str("{\"kind\":\"frame\",\"path\":");
-        push_escaped(&mut out, &f.path);
+        write_str(&mut out, &f.path);
         out.push_str(",\"counter\":");
-        push_escaped(&mut out, &f.counter);
+        write_str(&mut out, &f.counter);
         let _ = writeln!(
             out,
             ",\"inclusive\":{},\"exclusive\":{}}}",
@@ -76,7 +56,7 @@ pub fn profile_to_jsonl(profile: &Profile) -> String {
     }
     for t in &profile.totals {
         out.push_str("{\"kind\":\"total\",\"counter\":");
-        push_escaped(&mut out, &t.counter);
+        write_str(&mut out, &t.counter);
         let _ = writeln!(
             out,
             ",\"total\":{},\"attributed\":{},\"unattributed\":{},\"source\":\"{}\"}}",

@@ -28,9 +28,8 @@
 //! optional `"tick"` must be nondecreasing and defaults to the step
 //! index.
 
-use crate::proto::SubmitReq;
-use bcc_experiments::json::escape;
-use bcc_metrics::json::{self, JsonValue};
+use crate::proto::{self, SubmitReq};
+use bcc_json::{self as json, quote, JsonValue};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
@@ -96,33 +95,11 @@ pub struct Script {
 }
 
 fn get_u64(v: &JsonValue, key: &str) -> Result<Option<u64>, String> {
-    match v.get(key) {
-        None | Some(JsonValue::Null) => Ok(None),
-        Some(x) => x
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| format!("field {key:?} must be a u64")),
-    }
+    proto::field_u64(v, key).map_err(|e| e.message)
 }
 
 fn parse_submit_spec(v: &JsonValue) -> Result<SubmitReq, String> {
-    let experiment = v
-        .get("experiment")
-        .and_then(JsonValue::as_str)
-        .ok_or("submit needs a string \"experiment\"")?
-        .to_string();
-    let quick = match v.get("quick") {
-        None | Some(JsonValue::Null) => true,
-        Some(JsonValue::Bool(b)) => *b,
-        Some(_) => return Err("field \"quick\" must be a bool".to_string()),
-    };
-    Ok(SubmitReq {
-        experiment,
-        quick,
-        seed: get_u64(v, "seed")?,
-        priority: get_u64(v, "priority")?.unwrap_or(0),
-        timeout_secs: get_u64(v, "timeout_secs")?,
-    })
+    proto::parse_submit(v).map_err(|e| e.message)
 }
 
 /// Parses a script from JSONL text.
@@ -260,8 +237,8 @@ fn render_submit(s: &SubmitReq, default_seed: u64) -> String {
         None => String::new(),
     };
     format!(
-        "{{\"type\":\"submit\",\"experiment\":\"{}\",\"quick\":{},\"seed\":{},\"priority\":{}{}}}",
-        escape(&s.experiment),
+        "{{\"type\":\"submit\",\"experiment\":{},\"quick\":{},\"seed\":{},\"priority\":{}{}}}",
+        quote(&s.experiment),
         s.quick,
         seed,
         s.priority,
@@ -285,9 +262,17 @@ impl Transcript {
             .push(format!("{{\"tick\":{tick},\"sent\":{line}}}"));
     }
 
-    fn recv(&mut self, tick: u64, line: &str) {
+    /// Records a reply and returns its `type` (`None` when the line is
+    /// not a typed JSON object). Such lines, `error` and `reject`
+    /// count as anomalies.
+    fn recv(&mut self, tick: u64, line: &str) -> Option<String> {
         self.lines
             .push(format!("{{\"tick\":{tick},\"recv\":{line}}}"));
+        let ty = response_type(line);
+        if matches!(ty.as_deref(), None | Some("error" | "reject")) {
+            self.anomalies += 1;
+        }
+        ty
     }
 
     /// The transcript as JSONL text (one record per line, trailing
@@ -330,14 +315,6 @@ impl Wire {
     }
 }
 
-fn response_req_id(line: &str) -> Option<u64> {
-    let v = json::parse(line).ok()?;
-    match v.get("type").and_then(JsonValue::as_str)? {
-        "accepted" => v.get("req").and_then(JsonValue::as_u64),
-        _ => None,
-    }
-}
-
 fn response_type(line: &str) -> Option<String> {
     json::parse(line)
         .ok()?
@@ -346,15 +323,13 @@ fn response_type(line: &str) -> Option<String> {
         .map(str::to_string)
 }
 
-fn response_is_anomaly(line: &str) -> bool {
-    json::parse(line)
-        .ok()
-        .and_then(|v| {
-            v.get("type")
-                .and_then(JsonValue::as_str)
-                .map(|t| t == "error" || t == "reject")
-        })
-        .unwrap_or(true)
+/// The `req` id of an `accepted` reply.
+fn accepted_req(line: &str) -> Option<u64> {
+    let v = json::parse(line).ok()?;
+    match v.get("type").and_then(JsonValue::as_str)? {
+        "accepted" => v.get("req").and_then(JsonValue::as_u64),
+        _ => None,
+    }
 }
 
 /// Replays `script` against `addr` (`host:port`), filling omitted
@@ -391,9 +366,6 @@ pub fn run_script(
         transcript.sent(tick, line);
         let reply = wire.recv()?;
         transcript.recv(tick, &reply);
-        if response_is_anomaly(&reply) {
-            transcript.anomalies += 1;
-        }
         Ok(reply)
     };
 
@@ -401,13 +373,13 @@ pub fn run_script(
         let tick = step.tick;
         match &step.op {
             Op::Hello { client } => {
-                let line = format!("{{\"type\":\"hello\",\"client\":\"{}\"}}", escape(client));
+                let line = format!("{{\"type\":\"hello\",\"client\":{}}}", quote(client));
                 roundtrip(&mut wire, &mut transcript, tick, &line)?;
             }
             Op::Submit(submit) => {
                 let line = render_submit(submit, default_seed);
                 let reply = roundtrip(&mut wire, &mut transcript, tick, &line)?;
-                submit_ids.push(response_req_id(&reply));
+                submit_ids.push(accepted_req(&reply));
             }
             Op::Batch { submits } => {
                 let header = format!("{{\"type\":\"batch\",\"n\":{}}}", submits.len());
@@ -421,10 +393,7 @@ pub fn run_script(
                 for _ in submits {
                     let reply = wire.recv()?;
                     transcript.recv(tick, &reply);
-                    if response_is_anomaly(&reply) {
-                        transcript.anomalies += 1;
-                    }
-                    submit_ids.push(response_req_id(&reply));
+                    submit_ids.push(accepted_req(&reply));
                 }
             }
             Op::Await { submit } | Op::Cancel { submit } => {
@@ -461,16 +430,7 @@ pub fn run_script(
                 let line = format!("{{\"type\":\"observe\",\"every\":{every},\"count\":{count}}}");
                 wire.send(&line)?;
                 transcript.sent(tick, &line);
-                loop {
-                    let reply = wire.recv()?;
-                    transcript.recv(tick, &reply);
-                    if response_is_anomaly(&reply) {
-                        transcript.anomalies += 1;
-                    }
-                    if response_type(&reply).as_deref() != Some("snapshot") {
-                        break;
-                    }
-                }
+                while transcript.recv(tick, &wire.recv()?).as_deref() == Some("snapshot") {}
             }
             Op::Shutdown => {
                 roundtrip(&mut wire, &mut transcript, tick, "{\"type\":\"shutdown\"}")?;

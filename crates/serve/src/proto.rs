@@ -1,10 +1,9 @@
 //! The JSONL wire protocol: one JSON object per line in each
-//! direction, parsed with the workspace's own recursive-descent
-//! parser ([`bcc_metrics::json`]) and rendered with the same
-//! hand-rolled conventions as every other codec in the repo
-//! ([`bcc_experiments::json::escape`], fixed key order) so a reply is
-//! a pure function of the request stream and transcripts can be
-//! pinned byte-for-byte.
+//! direction, parsed with the workspace's JSON codec ([`bcc_json`])
+//! and rendered with the same conventions as every other codec in the
+//! repo ([`bcc_json::quote`], fixed key order) so a reply is a pure
+//! function of the request stream and transcripts can be pinned
+//! byte-for-byte.
 //!
 //! Responses never contain wall-clock quantities: latencies live in
 //! the runner's profiling layer (lint rule D2), and everything a
@@ -12,8 +11,7 @@
 //! report — is a deterministic function of `(experiment, quick,
 //! seed)` plus admission order.
 
-use bcc_experiments::json::escape;
-use bcc_metrics::json::{self, JsonValue};
+use bcc_json::{self as json, quote, JsonValue};
 
 /// Protocol version announced in `welcome`.
 pub const PROTO_VERSION: u64 = 1;
@@ -109,7 +107,9 @@ impl ProtoError {
     }
 }
 
-fn field_u64(v: &JsonValue, key: &str) -> Result<Option<u64>, ProtoError> {
+/// Optional `U64` field `key`: absent or `null` is `None`; anything
+/// but an unsigned integer literal is `bad_request`.
+pub(crate) fn field_u64(v: &JsonValue, key: &str) -> Result<Option<u64>, ProtoError> {
     match v.get(key) {
         None | Some(JsonValue::Null) => Ok(None),
         Some(x) => x
@@ -159,7 +159,7 @@ impl Request {
     pub fn parse(line: &str) -> Result<Request, ProtoError> {
         let v = json::parse(line).map_err(|e| ProtoError {
             code: "bad_json",
-            message: e,
+            message: e.to_string(),
         })?;
         if v.as_obj().is_none() {
             return Err(ProtoError::bad_request("request must be a JSON object"));
@@ -321,6 +321,28 @@ pub struct StatsMsg {
     pub cache_entries: u64,
 }
 
+impl StatsMsg {
+    /// The counters as comma-separated JSON members, shared by the
+    /// `stats` and `snapshot` responses.
+    fn fields_json(&self) -> String {
+        format!(
+            "\"accepted\":{},\"rejected\":{},\"completed\":{},\"cancelled\":{},\
+             \"drained\":{},\"queue_depth\":{},\"draining\":{},\"cache_lookups\":{},\
+             \"cache_hits\":{},\"cache_entries\":{}",
+            self.accepted,
+            self.rejected,
+            self.completed,
+            self.cancelled,
+            self.drained,
+            self.queue_depth,
+            self.draining,
+            self.cache_lookups,
+            self.cache_hits,
+            self.cache_entries
+        )
+    }
+}
+
 /// A response line, rendered with fixed key order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
@@ -389,10 +411,10 @@ impl Response {
                 format!("{{\"type\":\"accepted\",\"req\":{req},\"queue_depth\":{queue_depth}}}")
             }
             Response::Rejected(reject) => format!(
-                "{{\"type\":\"reject\",\"code\":\"{}\",\"retry_after_ticks\":{},\"message\":\"{}\"}}",
+                "{{\"type\":\"reject\",\"code\":\"{}\",\"retry_after_ticks\":{},\"message\":{}}}",
                 reject.code(),
                 reject.retry_after_ticks(),
-                escape(&reject.message())
+                quote(&reject.message())
             ),
             Response::Result(r) => {
                 let status = match r.status {
@@ -405,11 +427,11 @@ impl Response {
                 };
                 let report = r.report_json.as_deref().unwrap_or("null");
                 format!(
-                    "{{\"type\":\"result\",\"req\":{},\"experiment\":\"{}\",\"status\":\"{}\",\
+                    "{{\"type\":\"result\",\"req\":{},\"experiment\":{},\"status\":\"{}\",\
                      \"passed\":{},\"scheduled\":{},\"completed\":{},\"cancelled\":{},\
                      \"cache_lookups\":{},\"report\":{}}}",
                     r.req,
-                    escape(&r.experiment),
+                    quote(&r.experiment),
                     status,
                     passed,
                     r.scheduled,
@@ -422,38 +444,11 @@ impl Response {
             Response::Cancelled { req, state } => {
                 format!("{{\"type\":\"cancelled\",\"req\":{req},\"state\":\"{state}\"}}")
             }
-            Response::Stats(s) => format!(
-                "{{\"type\":\"stats\",\"accepted\":{},\"rejected\":{},\"completed\":{},\
-                 \"cancelled\":{},\"drained\":{},\"queue_depth\":{},\"draining\":{},\
-                 \"cache_lookups\":{},\"cache_hits\":{},\"cache_entries\":{}}}",
-                s.accepted,
-                s.rejected,
-                s.completed,
-                s.cancelled,
-                s.drained,
-                s.queue_depth,
-                s.draining,
-                s.cache_lookups,
-                s.cache_hits,
-                s.cache_entries
+            Response::Stats(s) => format!("{{\"type\":\"stats\",{}}}", s.fields_json()),
+            Response::Snapshot { tick, stats } => format!(
+                "{{\"type\":\"snapshot\",\"tick\":{tick},{}}}",
+                stats.fields_json()
             ),
-            Response::Snapshot { tick, stats: s } => {
-                format!(
-                    "{{\"type\":\"snapshot\",\"tick\":{tick},\"accepted\":{},\"rejected\":{},\
-                     \"completed\":{},\"cancelled\":{},\"drained\":{},\"queue_depth\":{},\
-                     \"draining\":{},\"cache_lookups\":{},\"cache_hits\":{},\"cache_entries\":{}}}",
-                    s.accepted,
-                    s.rejected,
-                    s.completed,
-                    s.cancelled,
-                    s.drained,
-                    s.queue_depth,
-                    s.draining,
-                    s.cache_lookups,
-                    s.cache_hits,
-                    s.cache_entries
-                )
-            }
             Response::Observed { snapshots, tick } => {
                 format!("{{\"type\":\"observed\",\"snapshots\":{snapshots},\"tick\":{tick}}}")
             }
@@ -462,9 +457,9 @@ impl Response {
                 format!("{{\"type\":\"bye\",\"drained\":{drained}}}")
             }
             Response::Error(e) => format!(
-                "{{\"type\":\"error\",\"code\":\"{}\",\"message\":\"{}\"}}",
+                "{{\"type\":\"error\",\"code\":\"{}\",\"message\":{}}}",
                 e.code,
-                escape(&e.message)
+                quote(&e.message)
             ),
         }
     }
@@ -535,6 +530,11 @@ mod tests {
     #[test]
     fn typed_errors_for_bad_lines() {
         assert_eq!(Request::parse("{oops").unwrap_err().code, "bad_json");
+        // Deep nesting is refused, not recursed into until the stack runs out.
+        assert_eq!(
+            Request::parse(&"[".repeat(60_000)).unwrap_err().code,
+            "bad_json"
+        );
         assert_eq!(Request::parse("[1,2]").unwrap_err().code, "bad_request");
         assert_eq!(
             Request::parse(r#"{"type":"warp"}"#).unwrap_err().code,
@@ -550,6 +550,24 @@ mod tests {
                 .code,
             "bad_request"
         );
+    }
+
+    #[test]
+    fn u64_fields_are_exact_integer_literals() {
+        let seed_of = |seed: &str| {
+            let line = format!(r#"{{"type":"submit","experiment":"e2","seed":{seed}}}"#);
+            match Request::parse(&line) {
+                Ok(Request::Submit(s)) => Ok(s.seed),
+                Ok(other) => panic!("expected a submit, got {other:?}"),
+                Err(e) => Err(e.code),
+            }
+        };
+        assert_eq!(seed_of("9007199254740993"), Ok(Some(9_007_199_254_740_993)));
+        assert_eq!(seed_of("18446744073709551615"), Ok(Some(u64::MAX)));
+        // 2^64 and float literals are not U64s: no rounding, no saturation.
+        for bad in ["18446744073709551616", "1e3", "7.0"] {
+            assert_eq!(seed_of(bad), Err("bad_request"), "seed {bad}");
+        }
     }
 
     #[test]

@@ -67,17 +67,17 @@ impl TestConn {
 
 /// Extracts a `"key":<u64>` field from a flat JSON line.
 pub fn json_u64(line: &str, key: &str) -> Option<u64> {
-    bcc_metrics::json::parse(line)
+    bcc_json::parse(line)
         .ok()?
         .get(key)
-        .and_then(bcc_metrics::json::JsonValue::as_u64)
+        .and_then(bcc_json::JsonValue::as_u64)
 }
 
 /// Extracts a `"key":"string"` field from a flat JSON line.
 pub fn json_str(line: &str, key: &str) -> Option<String> {
-    bcc_metrics::json::parse(line)
+    bcc_json::parse(line)
         .ok()?
         .get(key)
-        .and_then(bcc_metrics::json::JsonValue::as_str)
+        .and_then(bcc_json::JsonValue::as_str)
         .map(str::to_string)
 }

@@ -1,33 +1,11 @@
-//! The JSONL codec for trace events: a hand-rolled writer (no
-//! external deps) and a parser for the exact dialect the writer
-//! emits, so traces round-trip — the property the determinism
-//! proptests and the CI trace validator check.
+//! The JSONL codec for trace events: a fixed-key-order writer and a
+//! parser for the exact dialect the writer emits, so traces
+//! round-trip — the property the determinism proptests and the CI
+//! trace validator check. Both halves sit on `bcc-json`.
 
 use crate::event::{Event, EventKind, FieldValue};
+use bcc_json::{write_str, JsonValue};
 use std::fmt::Write as _;
-
-/// Escapes a string for a JSON string literal.
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-fn string_literal(out: &mut String, s: &str) {
-    out.push('"');
-    escape_into(out, s);
-    out.push('"');
-}
 
 impl FieldValue {
     /// This value as a JSON literal. Unsigned and signed integers get
@@ -42,11 +20,7 @@ impl FieldValue {
             FieldValue::UInt(v) => v.to_string(),
             FieldValue::Float(v) => format!("{v:?}"),
             FieldValue::Bool(v) => v.to_string(),
-            FieldValue::Str(v) => {
-                let mut out = String::with_capacity(v.len() + 2);
-                string_literal(&mut out, v);
-                out
-            }
+            FieldValue::Str(v) => bcc_json::quote(v),
         }
     }
 }
@@ -56,31 +30,39 @@ impl FieldValue {
 pub fn event_to_json(e: &Event) -> String {
     let mut out = String::with_capacity(96);
     out.push_str("{\"unit\":");
-    string_literal(&mut out, &e.unit);
+    write_str(&mut out, &e.unit);
     let _ = write!(out, ",\"seq\":{}", e.seq);
     out.push_str(",\"path\":");
-    string_literal(&mut out, &e.path);
+    write_str(&mut out, &e.path);
     out.push_str(",\"kind\":");
-    string_literal(&mut out, e.kind.tag());
+    write_str(&mut out, e.kind.tag());
     out.push_str(",\"name\":");
-    string_literal(&mut out, &e.name);
-    out.push_str(",\"fields\":{");
-    for (i, (k, v)) in e.fields.iter().enumerate() {
+    write_str(&mut out, &e.name);
+    out.push_str(",\"fields\":");
+    write_fields(&mut out, &e.fields);
+    out.push('}');
+    out
+}
+
+/// Appends `fields` as one JSON object, in order.
+pub fn write_fields(out: &mut String, fields: &[(String, FieldValue)]) {
+    out.push('{');
+    for (i, (k, v)) in fields.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        string_literal(&mut out, k);
+        write_str(out, k);
         out.push(':');
         out.push_str(&v.to_json());
     }
-    out.push_str("}}");
-    out
+    out.push('}');
 }
 
 /// A JSONL parse failure: what went wrong and where.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
-    /// Byte offset in the line.
+    /// Byte offset in the line of a syntax error; 0 when a
+    /// well-formed object has the wrong keys or value types.
     pub at: usize,
     /// Human-readable description.
     pub message: String,
@@ -109,44 +91,69 @@ impl std::error::Error for ParseError {}
 /// Returns a [`ParseError`] on any structural deviation from the
 /// writer's dialect.
 pub fn parse_event(line: &str) -> Result<Event, ParseError> {
-    let mut p = Parser {
-        bytes: line.as_bytes(),
-        pos: 0,
+    let value = bcc_json::parse(line).map_err(|e| ParseError {
+        at: e.at,
+        message: e.message,
+    })?;
+    let fail = |message: String| ParseError { at: 0, message };
+    let JsonValue::Obj(members) = value else {
+        return Err(fail("an event must be a JSON object".to_string()));
     };
-    p.expect_byte(b'{')?;
     let mut unit = None;
     let mut seq = None;
     let mut path = None;
     let mut kind = None;
     let mut name = None;
     let mut fields = None;
-    loop {
-        let key = p.parse_string()?;
-        p.expect_byte(b':')?;
+    for (key, v) in members {
+        let text = |v: JsonValue| match v {
+            JsonValue::Str(s) => Ok(s),
+            other => Err(fail(format!("{key} must be a string, got {other:?}"))),
+        };
         match key.as_str() {
-            "unit" => unit = Some(p.parse_string()?),
-            "seq" => match p.parse_value()? {
-                FieldValue::UInt(v) => seq = Some(v),
-                other => return p.fail(format!("seq must be an unsigned integer, got {other:?}")),
+            "unit" => unit = Some(text(v)?),
+            "seq" => match v {
+                JsonValue::UInt(n) => seq = Some(n),
+                other => {
+                    return Err(fail(format!(
+                        "seq must be an unsigned integer, got {other:?}"
+                    )))
+                }
             },
-            "path" => path = Some(p.parse_string()?),
+            "path" => path = Some(text(v)?),
             "kind" => {
-                let tag = p.parse_string()?;
+                let tag = text(v)?;
                 kind = Some(
                     EventKind::from_tag(&tag)
-                        .ok_or_else(|| p.error(format!("unknown event kind {tag:?}")))?,
+                        .ok_or_else(|| fail(format!("unknown event kind {tag:?}")))?,
                 );
             }
-            "name" => name = Some(p.parse_string()?),
-            "fields" => fields = Some(p.parse_fields()?),
-            other => return p.fail(format!("unexpected key {other:?}")),
-        }
-        if !p.eat(b',') {
-            break;
+            "name" => name = Some(text(v)?),
+            "fields" => {
+                let JsonValue::Obj(members) = v else {
+                    return Err(fail(format!("fields must be an object, got {v:?}")));
+                };
+                let mut parsed = Vec::with_capacity(members.len());
+                for (k, fv) in members {
+                    let value = match fv {
+                        JsonValue::UInt(n) => FieldValue::UInt(n),
+                        JsonValue::Int(n) => FieldValue::Int(n),
+                        JsonValue::Float(x) => FieldValue::Float(x),
+                        JsonValue::Bool(b) => FieldValue::Bool(b),
+                        JsonValue::Str(s) => FieldValue::Str(s),
+                        other => {
+                            return Err(fail(format!(
+                                "field {k:?} must be a scalar, got {other:?}"
+                            )))
+                        }
+                    };
+                    parsed.push((k, value));
+                }
+                fields = Some(parsed);
+            }
+            other => return Err(fail(format!("unexpected key {other:?}"))),
         }
     }
-    p.expect_byte(b'}')?;
-    p.end()?;
     let missing = |what: &str| ParseError {
         at: line.len(),
         message: format!("missing key {what:?}"),
@@ -159,186 +166,6 @@ pub fn parse_event(line: &str) -> Result<Event, ParseError> {
         name: name.ok_or_else(|| missing("name"))?,
         fields: fields.ok_or_else(|| missing("fields"))?,
     })
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn error(&self, message: String) -> ParseError {
-        ParseError {
-            at: self.pos,
-            message,
-        }
-    }
-
-    fn fail<T>(&self, message: String) -> Result<T, ParseError> {
-        Err(self.error(message))
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect_byte(&mut self, b: u8) -> Result<(), ParseError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            self.fail(format!(
-                "expected {:?}, found {:?}",
-                b as char,
-                self.peek().map(|c| c as char)
-            ))
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> bool {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn end(&self) -> Result<(), ParseError> {
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            self.fail("trailing bytes after event object".to_string())
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, ParseError> {
-        self.expect_byte(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return self.fail("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.error("truncated \\u escape".to_string()))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.error(format!("bad \\u escape {hex:?}")))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.error("invalid codepoint".to_string()))?,
-                            );
-                            self.pos += 3; // 4 hex digits minus the +1 below
-                        }
-                        other => {
-                            return self.fail(format!("bad escape {:?}", other.map(|c| c as char)))
-                        }
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Advance one whole UTF-8 character.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.error("invalid UTF-8".to_string()))?;
-                    let c = s
-                        .chars()
-                        .next()
-                        .ok_or_else(|| self.error("unterminated string".to_string()))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<FieldValue, ParseError> {
-        match self.peek() {
-            Some(b'"') => Ok(FieldValue::Str(self.parse_string()?)),
-            Some(b't') => self.keyword("true", FieldValue::Bool(true)),
-            Some(b'f') => self.keyword("false", FieldValue::Bool(false)),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
-            other => self.fail(format!(
-                "expected a value, found {:?}",
-                other.map(|c| c as char)
-            )),
-        }
-    }
-
-    fn keyword(&mut self, word: &str, value: FieldValue) -> Result<FieldValue, ParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            self.fail(format!("expected {word:?}"))
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<FieldValue, ParseError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        while let Some(c) = self.peek() {
-            match c {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.error("invalid number bytes".to_string()))?;
-        if is_float {
-            let v: f64 = text
-                .parse()
-                .map_err(|_| self.error(format!("bad float literal {text:?}")))?;
-            Ok(FieldValue::Float(v))
-        } else if let Ok(v) = text.parse::<u64>() {
-            Ok(FieldValue::UInt(v))
-        } else if let Ok(v) = text.parse::<i64>() {
-            Ok(FieldValue::Int(v))
-        } else {
-            self.fail(format!("integer out of range: {text:?}"))
-        }
-    }
-
-    fn parse_fields(&mut self) -> Result<Vec<(String, FieldValue)>, ParseError> {
-        self.expect_byte(b'{')?;
-        let mut fields = Vec::new();
-        if self.eat(b'}') {
-            return Ok(fields);
-        }
-        loop {
-            let key = self.parse_string()?;
-            self.expect_byte(b':')?;
-            let value = self.parse_value()?;
-            fields.push((key, value));
-            if !self.eat(b',') {
-                break;
-            }
-        }
-        self.expect_byte(b'}')?;
-        Ok(fields)
-    }
 }
 
 #[cfg(test)]
@@ -394,6 +221,27 @@ mod tests {
         assert!(parse_event("not json").is_err());
         assert!(parse_event("{\"unit\":\"u\"}").is_err(), "missing keys");
         assert!(parse_event(&(event_to_json(&sample()) + "x")).is_err());
+    }
+
+    #[test]
+    fn rejects_shape_violations() {
+        let ok = r#"{"unit":"u","seq":1,"path":"","kind":"point","name":"n","fields":{"a":1}}"#;
+        assert!(parse_event(ok).is_ok());
+        for (from, to) in [
+            (r#""seq":1"#, r#""seq":-1"#),
+            (r#""seq":1"#, r#""seq":1.0"#),
+            (r#""kind":"point""#, r#""kind":"nope""#),
+            (r#""name":"n""#, r#""name":7"#),
+            (r#""name":"n""#, r#""extra":"n""#),
+            (r#""a":1"#, r#""a":null"#),
+            (r#""a":1"#, r#""a":[1]"#),
+            (r#""a":1"#, r#""a":{}"#),
+            (r#""fields":{"a":1}"#, r#""fields":[]"#),
+        ] {
+            let bad = ok.replace(from, to);
+            assert!(parse_event(&bad).is_err(), "accepted {bad}");
+        }
+        assert!(parse_event("[]").is_err());
     }
 
     #[test]
